@@ -11,16 +11,17 @@
 //! words/messages are bit-for-bit deterministic (regressions there are
 //! protocol changes, not noise); wall-clock throughput is indicative.
 //!
-//! Eight cell groups:
+//! Seven cell groups:
 //!
 //! * n = 20 000 deterministic cells — match the seed snapshot one-to-one
 //!   for before/after comparisons;
 //! * n = 200 000 deterministic cells (PR 2) — keep per-item costs visible
 //!   as fixed per-run overheads shrink;
-//! * n = 200 000 **threaded** cells (PR 3) — the parallel ingest engine,
-//!   each protocol measured twice: per-item delivery (one channel hop per
-//!   item, the threaded baseline) and batched delivery (whole per-site
-//!   runs through `Site::on_items`). Their words are *not* pinned:
+//! * n = 200 000 **threaded** cells (PR 3) — the parallel ingest engine
+//!   with one pool worker per site (`Sharded { workers: Some(k) }`), each
+//!   protocol measured twice: per-item delivery (one queue hop per item,
+//!   the unbatched baseline) and batched delivery (whole per-site runs
+//!   through `Site::on_items`). Their words are *not* pinned:
 //!   free-running ingest interleaves arrivals with in-flight
 //!   communication, so the transcript legitimately varies run to run (the
 //!   site-at-a-time equivalence tests pin the deterministic schedule
@@ -28,16 +29,17 @@
 //!   number — it is what batching buys on real threads.
 //! * **facade-vs-direct** cells (PR 4) — the same ingest driven once
 //!   through the `Tracker` facade and once against the bare
-//!   `Cluster`/`ThreadedCluster`, on both backends, per protocol. The
+//!   `Cluster`/`ShardedCluster`, on both backends, per protocol. The
 //!   facade's erasure sits at batch/query granularity, so its overhead
 //!   must be noise (`facade_overhead_geomean` ≈ 1.00, acceptance ≤ 1.02);
 //!   each cell is best-of-2 to keep scheduler noise out of the ratio.
 //! * **site-scale** cells (PR 5) — free-running batched ingest at
-//!   k ∈ {4, 64, 256} sites on the one-thread-per-site `Threaded`
-//!   backend vs the work-stealing `Sharded` pool. At k ≈ cores the two
-//!   are comparable; at k ≫ cores the threaded backend drowns in
-//!   context switches while the pool keeps its fixed workers busy —
-//!   `sharded_scale_speedup_k256` (geomean of sharded/threaded
+//!   k ∈ {4, 64, 256} sites with one pool worker per site
+//!   (`Sharded { workers: Some(k) }`, the `scale-threaded:` cells) vs the
+//!   work-stealing pool at its machine-default worker count. At k ≈ cores
+//!   the two are comparable; at k ≫ cores thread-per-site drowns in
+//!   context switches while the default pool keeps its fixed workers
+//!   busy — `sharded_scale_speedup_k256` (geomean of pool/thread-per-site
 //!   throughput over the k = 256 pairs) is the acceptance number and
 //!   must exceed 1.0.
 //! * **flow-control** cells (PR 7) — free-running batched ingest at
@@ -54,16 +56,6 @@
 //!   `FREE_RUN_HEADROOM` the testkit budgets free runs with; the fixed
 //!   baseline is exempt, since it exists to exhibit the unregulated
 //!   drift).
-//! * **async-scale** cells (PR 9) — free-running batched ingest at
-//!   k ∈ {256, 4096} on the work-stealing `Sharded` pool vs the
-//!   task-multiplexed `Async` executor (codec off; the wire mode is a
-//!   correctness axis, pinned by the equivalence suite, not a perf
-//!   cell). `async_vs_sharded_k4096` (geomean of async/sharded
-//!   throughput over the k = 4096 pairs) is *recorded*, not enforced:
-//!   it prices generic waker machinery against the hand-rolled steal
-//!   loop at extreme k — which regime wins is hardware-dependent, and
-//!   the async backend's acceptance story is the 77-row equivalence
-//!   matrix, not a throughput gate.
 //! * **trace-overhead** cells (PR 10) — the deterministic ingest (the
 //!   tightest per-item loop, where a hot-path branch would show first)
 //!   driven once against the bare `Cluster` exactly as pre-trace callers
@@ -80,12 +72,12 @@
 use dtrack_core::counter::CounterProtocol;
 use dtrack_core::hh::{HhConfig, HhExactProtocol, HhSketchedProtocol};
 use dtrack_core::quantile::{QuantileConfig, QuantileSketchedProtocol};
-use dtrack_sim::threaded::{RunTicket, ThreadedCluster};
+use dtrack_sim::sharded::{RunTicket, ShardedCluster};
 use dtrack_sim::{BackendKind, Cluster, FlowControlConfig, Protocol, SiteId, TraceConfig, Tracker};
 use dtrack_testkit::threaded::free_run_len;
 use dtrack_testkit::{
-    measure_cost, measure_on_backend, measure_threaded, AssignmentSpec, GeneratorSpec,
-    ProtocolSpec, Scenario, ThreadedIngest,
+    measure_cost, measure_on_backend, AssignmentSpec, GeneratorSpec, ProtocolSpec, Scenario,
+    ThreadedIngest,
 };
 use std::time::Instant;
 
@@ -165,7 +157,8 @@ pub fn smoke_scenarios() -> Vec<Scenario> {
 }
 
 /// The threaded throughput cells (PR 3): per-protocol scenarios driven
-/// through `ThreadedCluster` free-running, once per ingest mode.
+/// free-running through the pool with one worker per site, once per
+/// ingest mode.
 pub fn threaded_scenarios() -> Vec<Scenario> {
     THREADED_PROTOCOLS
         .iter()
@@ -185,7 +178,8 @@ pub const SCALE_N: u64 = 200_000;
 /// bound) — the two extremes of per-item site work.
 const SCALE_PROTOCOLS: [ProtocolSpec; 2] = [ProtocolSpec::Counter, ProtocolSpec::HhSketched];
 
-/// Scale-cell prefixes per backend: (threaded, sharded). Shared by the
+/// Scale-cell prefixes per backend: (one worker per site, default pool).
+/// Shared by the
 /// cell builder, [`sharded_scale_speedup_k256`]'s pairing, and the
 /// structural tests, so a rename cannot silently empty the metric.
 const SCALE_PAIR: (&str, &str) = ("scale-threaded:", "scale-sharded:");
@@ -205,9 +199,16 @@ fn scale_scenario(protocol: ProtocolSpec, k: u32, n: u64) -> Scenario {
     )
 }
 
+/// The pool with one worker per site: the one-thread-per-site runtime.
+fn per_site(k: u32) -> BackendKind {
+    BackendKind::Sharded {
+        workers: Some(k as usize),
+    }
+}
+
 /// The site-scale cells: free-running batched ingest at every k in
-/// [`SCALE_KS`], on the one-thread-per-site threaded backend and on the
-/// work-stealing sharded pool (machine-default worker count). Best-of-2
+/// [`SCALE_KS`], on the pool with one worker per site and on the pool at
+/// its machine-default worker count. Best-of-2
 /// like the facade/direct pairs: `sharded_scale_speedup_k256` is an
 /// *enforced* ratio, so one unlucky scheduling in either twin must not
 /// decide it. `n` is [`SCALE_N`] in the real run; tests pass a small n
@@ -218,7 +219,7 @@ fn scale_cells_at(n: u64) -> Vec<SmokeResult> {
         for protocol in SCALE_PROTOCOLS {
             let scenario = scale_scenario(protocol, k, n);
             for (prefix, backend) in [
-                (SCALE_PAIR.0, BackendKind::Threaded),
+                (SCALE_PAIR.0, per_site(k)),
                 (SCALE_PAIR.1, BackendKind::Sharded { workers: None }),
             ] {
                 out.push(timed_cell(format!("{prefix}{scenario}"), n, || {
@@ -256,87 +257,6 @@ pub fn sharded_scale_speedup_k256(results: &[SmokeResult]) -> f64 {
                 continue;
             }
             if let Some(base) = threaded_of(name) {
-                log_sum += (r.items_per_sec.max(1.0) / base.max(1.0)).ln();
-                pairs += 1;
-            }
-        }
-    }
-    if pairs == 0 {
-        1.0
-    } else {
-        (log_sum / pairs as f64).exp()
-    }
-}
-
-/// Site counts of the PR 9 async cells: past the core count (where the
-/// sharded pool already won its PR 5 gate) and far past any
-/// thread-per-site design — 4096 cooperative tasks on a fixed pool.
-pub const ASYNC_KS: [u32; 2] = [256, 4096];
-
-/// The protocol axis of the async cells — the same two extremes of
-/// per-item site work as [`SCALE_PROTOCOLS`].
-const ASYNC_PROTOCOLS: [ProtocolSpec; 2] = [ProtocolSpec::Counter, ProtocolSpec::HhSketched];
-
-/// Async-cell prefixes per backend: (sharded baseline, async executor).
-/// Shared by the cell builder, [`async_vs_sharded_k4096`]'s pairing, and
-/// the structural tests, so a rename cannot silently empty the metric.
-const ASYNC_PAIR: (&str, &str) = ("async-scale-sharded:", "async-scale:");
-
-/// The async-scale cells: free-running batched ingest at every k in
-/// [`ASYNC_KS`] on the work-stealing sharded pool (the PR 5 incumbent at
-/// extreme k) and on the async executor (machine-default worker count
-/// for both, codec off). Best-of-2 like the other paired cells so one
-/// unlucky scheduling cannot decide the recorded ratio.
-fn async_cells_at(n: u64) -> Vec<SmokeResult> {
-    let mut out = Vec::new();
-    for &k in &ASYNC_KS {
-        for protocol in ASYNC_PROTOCOLS {
-            let scenario = scale_scenario(protocol, k, n);
-            for (prefix, backend) in [
-                (ASYNC_PAIR.0, BackendKind::Sharded { workers: None }),
-                (
-                    ASYNC_PAIR.1,
-                    BackendKind::Async {
-                        workers: None,
-                        wire: false,
-                    },
-                ),
-            ] {
-                out.push(timed_cell(format!("{prefix}{scenario}"), n, || {
-                    let outcome = measure_on_backend(&scenario, ThreadedIngest::Batched, backend)
-                        .expect("async-scale cell failed");
-                    (
-                        outcome.report.words,
-                        outcome.report.messages,
-                        outcome.ingest_ms,
-                    )
-                }));
-            }
-        }
-    }
-    out
-}
-
-/// Geometric-mean throughput ratio of the `async-scale:` cells over
-/// their `async-scale-sharded:` twins at k = 4096 (1.0 when no pairs
-/// are present). Recorded in the snapshot, not enforced: it prices task
-/// multiplexing against work-stealing threads when sites outnumber
-/// cores by three orders of magnitude on this hardware.
-pub fn async_vs_sharded_k4096(results: &[SmokeResult]) -> f64 {
-    let sharded_of = |suffix: &str| {
-        results
-            .iter()
-            .find(|r| r.scenario.strip_prefix(ASYNC_PAIR.0) == Some(suffix))
-            .map(|r| r.items_per_sec)
-    };
-    let mut log_sum = 0.0;
-    let mut pairs = 0usize;
-    for r in results {
-        if let Some(name) = r.scenario.strip_prefix(ASYNC_PAIR.1) {
-            if !name.contains("/k4096/") {
-                continue;
-            }
-            if let Some(base) = sharded_of(name) {
                 log_sum += (r.items_per_sec.max(1.0) / base.max(1.0)).ln();
                 pairs += 1;
             }
@@ -569,8 +489,8 @@ fn mode_label(ingest: ThreadedIngest) -> &'static str {
 /// and the structural tests, so a rename cannot silently empty the
 /// overhead metric.
 const DET_PAIR: (&str, &str) = ("facade-det:", "direct-det:");
-/// Threaded twin of [`DET_PAIR`].
-const THR_PAIR: (&str, &str) = ("facade-thr:", "direct-thr:");
+/// Sharded-pool twin of [`DET_PAIR`].
+const SHD_PAIR: (&str, &str) = ("facade-shd:", "direct-shd:");
 
 /// Trace-overhead cell-name prefixes: (traced-off facade, pre-trace
 /// bare-cluster baseline). Shared by the cell builder,
@@ -582,7 +502,7 @@ const TRACE_PAIR: (&str, &str) = ("traced-off:", "trace-base:");
 /// — the testkit's chunking, so the pair cells mirror the drivers.
 const PAIR_CHUNK: usize = dtrack_testkit::runner::FEED_CHUNK as usize;
 
-/// Target per-site run length for the free-running threaded pair cells
+/// Target per-site run length for the free-running sharded pair cells
 /// — the testkit's, so the pairs mirror the headline threaded cells.
 const PAIR_FREE_RUN: usize = dtrack_testkit::threaded::FREE_RUN;
 
@@ -648,15 +568,15 @@ fn facade_deterministic<P: Protocol>(p: &P, scenario: &Scenario) -> SmokeResult 
     })
 }
 
-/// Free-running batched ingest against the bare [`ThreadedCluster`] —
-/// the one-run-per-site ticket window hand-rolled, as pre-facade callers
-/// had to.
-fn direct_threaded<P: Protocol>(p: &P, scenario: &Scenario) -> SmokeResult {
+/// Free-running batched ingest against the bare [`ShardedCluster`]
+/// (machine-default worker count) — the one-run-per-site ticket window
+/// hand-rolled, as pre-facade callers had to.
+fn direct_sharded<P: Protocol>(p: &P, scenario: &Scenario) -> SmokeResult {
     let stream: Vec<(SiteId, u64)> = scenario.stream().collect();
     let k = scenario.k as usize;
-    timed_cell(format!("{}{scenario}", THR_PAIR.1), scenario.n, || {
+    timed_cell(format!("{}{scenario}", SHD_PAIR.1), scenario.n, || {
         let (sites, coordinator) = p.build(scenario.k).expect("protocol build");
-        let cluster = ThreadedCluster::spawn(sites, coordinator).expect("spawn");
+        let cluster = ShardedCluster::spawn(sites, coordinator).expect("spawn");
         let mut per_site: Vec<Vec<u64>> = vec![Vec::new(); k];
         let mut tickets: Vec<Option<RunTicket>> = (0..k).map(|_| None).collect();
         let start = Instant::now();
@@ -690,14 +610,14 @@ fn direct_threaded<P: Protocol>(p: &P, scenario: &Scenario) -> SmokeResult {
 }
 
 /// The same free-running batched ingest through the [`Tracker`] facade
-/// (the ticket window lives inside the threaded backend).
-fn facade_threaded<P: Protocol>(p: &P, scenario: &Scenario) -> SmokeResult {
+/// (the ticket window lives inside the sharded backend).
+fn facade_sharded<P: Protocol>(p: &P, scenario: &Scenario) -> SmokeResult {
     let stream: Vec<(SiteId, u64)> = scenario.stream().collect();
     let k = scenario.k as usize;
-    timed_cell(format!("{}{scenario}", THR_PAIR.0), scenario.n, || {
+    timed_cell(format!("{}{scenario}", SHD_PAIR.0), scenario.n, || {
         let mut tracker = Tracker::builder()
             .sites(scenario.k)
-            .backend(BackendKind::Threaded)
+            .backend(BackendKind::Sharded { workers: None })
             .protocol(p.clone())
             .build()
             .expect("tracker");
@@ -725,8 +645,8 @@ fn facade_threaded<P: Protocol>(p: &P, scenario: &Scenario) -> SmokeResult {
 fn push_pair_cells<P: Protocol>(out: &mut Vec<SmokeResult>, p: &P, scenario: &Scenario) {
     out.push(direct_deterministic(p, scenario));
     out.push(facade_deterministic(p, scenario));
-    out.push(direct_threaded(p, scenario));
-    out.push(facade_threaded(p, scenario));
+    out.push(direct_sharded(p, scenario));
+    out.push(facade_sharded(p, scenario));
 }
 
 /// The facade-vs-direct cells: the [`THREADED_PROTOCOLS`] spread, each
@@ -829,7 +749,7 @@ fn trace_cells_at(n: u64) -> Vec<SmokeResult> {
     out
 }
 
-/// Run the smoke matrix (deterministic + threaded cells), timing each
+/// Run the smoke matrix (deterministic + parallel cells), timing each
 /// scenario.
 ///
 /// Workload tables (the 2^20-entry Zipf CDF) are process-wide immutable
@@ -865,8 +785,8 @@ pub fn run_smoke() -> Vec<SmokeResult> {
             // and teardown excluded — `ThreadedOutcome::ingest_ms`), so
             // the batched/per-item ratio measures the delivery path, not
             // shared setup costs.
-            let outcome =
-                measure_threaded(&scenario, ingest).expect("threaded smoke scenario failed");
+            let outcome = measure_on_backend(&scenario, ingest, per_site(scenario.k))
+                .expect("threaded smoke scenario failed");
             results.push(SmokeResult {
                 scenario: format!("{}:{}", mode_label(ingest), outcome.report.scenario),
                 words: outcome.report.words,
@@ -879,7 +799,6 @@ pub fn run_smoke() -> Vec<SmokeResult> {
     results.extend(facade_direct_cells_at(THREADED_N));
     results.extend(scale_cells_at(SCALE_N));
     results.extend(free_flow_cells_at(SCALE_N));
-    results.extend(async_cells_at(SCALE_N));
     results.extend(trace_cells_at(THREADED_N));
     results
 }
@@ -933,10 +852,7 @@ pub fn facade_overhead_geomean(results: &[SmokeResult]) -> f64 {
     let mut log_sum = 0.0;
     let mut pairs = 0usize;
     for r in results {
-        for (facade, direct) in [
-            ("facade-det:", "direct-det:"),
-            ("facade-thr:", "direct-thr:"),
-        ] {
+        for (facade, direct) in [DET_PAIR, SHD_PAIR] {
             if let Some(name) = r.scenario.strip_prefix(facade) {
                 if let Some(base) = direct_of(direct, name) {
                     log_sum += (r.wall_ms.max(1e-6) / base.max(1e-6)).ln();
@@ -981,21 +897,124 @@ pub fn trace_overhead_geomean(results: &[SmokeResult]) -> f64 {
     }
 }
 
+/// How a gate compares its measured value with its threshold.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Bound {
+    /// Pass when the value is at most the threshold.
+    AtMost(f64),
+    /// Pass when the value is strictly above the threshold.
+    Above(f64),
+    /// Pass when the value is at least the threshold.
+    AtLeast(f64),
+}
+
+impl Bound {
+    fn admits(self, value: f64) -> bool {
+        match self {
+            Bound::AtMost(t) => value <= t,
+            Bound::Above(t) => value > t,
+            Bound::AtLeast(t) => value >= t,
+        }
+    }
+}
+
+impl std::fmt::Display for Bound {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Bound::AtMost(t) => write!(f, "<= {t}"),
+            Bound::Above(t) => write!(f, "> {t}"),
+            Bound::AtLeast(t) => write!(f, ">= {t}"),
+        }
+    }
+}
+
+/// One enforced smoke gate, evaluated: the snapshot metric, what its two
+/// arms are, the measured value, and the threshold it must meet.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Gate {
+    /// The gated snapshot key.
+    pub metric: &'static str,
+    /// The two arms the metric compares (numerator vs denominator).
+    pub arms: &'static str,
+    /// The measured value.
+    pub value: f64,
+    /// The acceptance threshold.
+    pub bound: Bound,
+}
+
+impl Gate {
+    /// Whether the measured value meets the threshold.
+    pub fn passed(&self) -> bool {
+        self.bound.admits(self.value)
+    }
+}
+
+impl std::fmt::Display for Gate {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} {} = {:.3} (must be {}; {})",
+            if self.passed() { "PASS" } else { "FAIL" },
+            self.metric,
+            self.value,
+            self.bound,
+            self.arms
+        )
+    }
+}
+
+/// Every enforced smoke gate, evaluated on `results` in a fixed order.
+/// All gates are always evaluated, so one failure never hides the
+/// verdicts after it.
+pub fn gates(results: &[SmokeResult]) -> Vec<Gate> {
+    vec![
+        Gate {
+            metric: "facade_overhead_geomean",
+            arms: "Tracker facade vs bare Cluster / ShardedCluster wall-clock",
+            value: facade_overhead_geomean(results),
+            bound: Bound::AtMost(1.02),
+        },
+        Gate {
+            metric: "sharded_scale_speedup_k256",
+            arms: "default pool vs one worker per site, items/s at k=256",
+            value: sharded_scale_speedup_k256(results),
+            bound: Bound::Above(1.0),
+        },
+        Gate {
+            metric: "adaptive_vs_fixed_throughput",
+            arms: "AIMD window vs fixed window, items/s",
+            value: adaptive_vs_fixed_throughput(results),
+            bound: Bound::AtLeast(1.0),
+        },
+        Gate {
+            metric: "free_run_words_factor",
+            arms: "worst adaptive free-running words vs deterministic twin",
+            value: free_run_words_factor(results),
+            bound: Bound::AtMost(FREE_WORDS_CEILING),
+        },
+        Gate {
+            metric: "trace_overhead_geomean",
+            arms: "facade with tracing off vs bare Cluster wall-clock",
+            value: trace_overhead_geomean(results),
+            bound: Bound::AtMost(1.02),
+        },
+    ]
+}
+
 fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// Render smoke results as a stable, human-diffable JSON document.
 pub fn smoke_json(results: &[SmokeResult]) -> String {
-    let mut out = String::from("{\n  \"schema\": \"dtrack-bench-smoke/v7\",\n");
+    let mut out = String::from("{\n  \"schema\": \"dtrack-bench-smoke/v8\",\n");
     out.push_str(&format!(
-        "  \"threaded_batched_speedup\": {:.2},\n  \"facade_overhead_geomean\": {:.3},\n  \"sharded_scale_speedup_k256\": {:.2},\n  \"adaptive_vs_fixed_throughput\": {:.2},\n  \"free_run_words_factor\": {:.3},\n  \"async_vs_sharded_k4096\": {:.2},\n  \"trace_overhead_geomean\": {:.3},\n  \"cells\": [\n",
+        "  \"threaded_batched_speedup\": {:.2},\n  \"facade_overhead_geomean\": {:.3},\n  \"sharded_scale_speedup_k256\": {:.2},\n  \"adaptive_vs_fixed_throughput\": {:.2},\n  \"free_run_words_factor\": {:.3},\n  \"trace_overhead_geomean\": {:.3},\n  \"cells\": [\n",
         threaded_batched_speedup(results),
         facade_overhead_geomean(results),
         sharded_scale_speedup_k256(results),
         adaptive_vs_fixed_throughput(results),
         free_run_words_factor(results),
-        async_vs_sharded_k4096(results),
         trace_overhead_geomean(results)
     ));
     for (i, r) in results.iter().enumerate() {
@@ -1089,8 +1108,8 @@ mod tests {
         let results = vec![
             mk("direct-det:counter/x", 10.0),
             mk("facade-det:counter/x", 11.0),
-            mk("direct-thr:counter/x", 20.0),
-            mk("facade-thr:counter/x", 19.0),
+            mk("direct-shd:counter/x", 20.0),
+            mk("facade-shd:counter/x", 19.0),
             mk("threaded-per-item:counter/x", 5.0),
         ];
         // geomean(1.1, 0.95) = sqrt(1.045)
@@ -1109,7 +1128,7 @@ mod tests {
         // no-pairs default of 1.0).
         let cells = facade_direct_cells_at(4_000);
         assert_eq!(cells.len(), 4 * THREADED_PROTOCOLS.len());
-        for prefix in [DET_PAIR.0, DET_PAIR.1, THR_PAIR.0, THR_PAIR.1] {
+        for prefix in [DET_PAIR.0, DET_PAIR.1, SHD_PAIR.0, SHD_PAIR.1] {
             assert_eq!(
                 cells
                     .iter()
@@ -1218,9 +1237,9 @@ mod tests {
 
     #[test]
     fn scale_cells_pair_up_and_feed_the_speedup_metric() {
-        // Run the *real* cell builder at a small n: a threaded and a
-        // sharded cell per (k, protocol), with every k=256 pair visible
-        // to the speedup extractor.
+        // Run the *real* cell builder at a small n: a thread-per-site and
+        // a default-pool cell per (k, protocol), with every k=256 pair
+        // visible to the speedup extractor.
         let cells = scale_cells_at(2_000);
         assert_eq!(cells.len(), 2 * SCALE_KS.len() * SCALE_PROTOCOLS.len());
         for prefix in [SCALE_PAIR.0, SCALE_PAIR.1] {
@@ -1236,7 +1255,7 @@ mod tests {
                 );
             }
         }
-        // Every k=256 sharded cell found its threaded twin: perturbing
+        // Every k=256 pool cell found its thread-per-site twin: perturbing
         // one pair must move the geomean.
         let base = sharded_scale_speedup_k256(&cells);
         assert!(base > 0.0);
@@ -1248,52 +1267,6 @@ mod tests {
         c.items_per_sec *= 10.0;
         assert!(sharded_scale_speedup_k256(&perturbed) > base);
         assert_eq!(sharded_scale_speedup_k256(&[]), 1.0);
-    }
-
-    #[test]
-    fn async_cells_pair_up_and_feed_the_recorded_ratio() {
-        // Run the *real* cell builder at a small n: a sharded and an
-        // async cell per (k, protocol), with every k=4096 pair visible
-        // to the ratio extractor. Small k-independent n keeps the
-        // k=4096 spawn/teardown the dominant cost, which is exactly the
-        // path this test needs to exercise.
-        let cells = async_cells_at(1_000);
-        assert_eq!(cells.len(), 2 * ASYNC_KS.len() * ASYNC_PROTOCOLS.len());
-        for prefix in [ASYNC_PAIR.0, ASYNC_PAIR.1] {
-            for k in ASYNC_KS {
-                assert_eq!(
-                    cells
-                        .iter()
-                        .filter(|c| c.scenario.starts_with(prefix)
-                            && c.scenario.contains(&format!("/k{k}/")))
-                        .count(),
-                    ASYNC_PROTOCOLS.len(),
-                    "{prefix} cells missing at k={k}"
-                );
-            }
-        }
-        // The two prefixes must not shadow each other: an async cell
-        // name never parses as a sharded one and vice versa.
-        for c in &cells {
-            assert_ne!(
-                c.scenario.starts_with(ASYNC_PAIR.0),
-                c.scenario.strip_prefix(ASYNC_PAIR.1).is_some(),
-                "ambiguous cell name {}",
-                c.scenario
-            );
-        }
-        // Every k=4096 async cell found its sharded twin: perturbing
-        // one pair must move the geomean.
-        let base = async_vs_sharded_k4096(&cells);
-        assert!(base > 0.0);
-        let mut perturbed = cells.clone();
-        let c = perturbed
-            .iter_mut()
-            .find(|c| c.scenario.starts_with(ASYNC_PAIR.1) && c.scenario.contains("/k4096/"))
-            .expect("async k4096 cell");
-        c.items_per_sec *= 10.0;
-        assert!(async_vs_sharded_k4096(&perturbed) > base);
-        assert_eq!(async_vs_sharded_k4096(&[]), 1.0);
     }
 
     #[test]
@@ -1366,6 +1339,68 @@ mod tests {
     }
 
     #[test]
+    fn a_failing_first_gate_does_not_hide_the_later_verdicts() {
+        let mk = |name: &str, wall_ms: f64, items_per_sec: f64, words: u64| SmokeResult {
+            scenario: name.to_owned(),
+            words,
+            messages: 1,
+            wall_ms,
+            items_per_sec,
+        };
+        let results = vec![
+            // Facade overhead 2.0x: the first gate fails.
+            mk("direct-det:counter/x", 10.0, 1.0, 1),
+            mk("facade-det:counter/x", 20.0, 1.0, 1),
+            // Every later gate passes, except the drift gate.
+            mk("scale-threaded:counter/k256/x", 1.0, 1e6, 1),
+            mk("scale-sharded:counter/k256/x", 1.0, 2e6, 1),
+            mk("free-det:counter/k64/x", 1.0, 1.0, 100),
+            mk("free-fixed:counter/k64/x", 1.0, 1e6, 400),
+            mk("free-adaptive:counter/k64/x", 1.0, 1.1e6, 200),
+            mk("trace-base:counter/x", 10.0, 1.0, 1),
+            mk("traced-off:counter/x", 10.0, 1.0, 1),
+        ];
+        let verdicts = gates(&results);
+        let metrics: Vec<_> = verdicts.iter().map(|g| g.metric).collect();
+        assert_eq!(
+            metrics,
+            [
+                "facade_overhead_geomean",
+                "sharded_scale_speedup_k256",
+                "adaptive_vs_fixed_throughput",
+                "free_run_words_factor",
+                "trace_overhead_geomean",
+            ]
+        );
+        let passed: Vec<_> = verdicts.iter().map(Gate::passed).collect();
+        assert_eq!(passed, [false, true, true, false, true]);
+        assert!((verdicts[1].value - 2.0).abs() < 1e-9);
+        assert!((verdicts[3].value - 2.0).abs() < 1e-9);
+        assert!(verdicts[0]
+            .to_string()
+            .starts_with("FAIL facade_overhead_geomean"));
+        assert!(verdicts[4]
+            .to_string()
+            .starts_with("PASS trace_overhead_geomean"));
+        // The thresholds are the documented ones.
+        let bounds: Vec<_> = verdicts.iter().map(|g| g.bound).collect();
+        assert_eq!(
+            bounds,
+            [
+                Bound::AtMost(1.02),
+                Bound::Above(1.0),
+                Bound::AtLeast(1.0),
+                Bound::AtMost(1.5),
+                Bound::AtMost(1.02),
+            ]
+        );
+        // Boundary semantics: the speedup must strictly beat 1.0.
+        assert!(!Bound::Above(1.0).admits(1.0));
+        assert!(Bound::AtLeast(1.0).admits(1.0));
+        assert!(Bound::AtMost(1.02).admits(1.02));
+    }
+
+    #[test]
     fn smoke_json_is_valid_enough() {
         let results = vec![SmokeResult {
             scenario: "hh-exact/zipf/round-robin/k4/eps0.1/n20000/seed1".to_owned(),
@@ -1375,13 +1410,12 @@ mod tests {
             items_per_sec: 2_352_941.0,
         }];
         let j = smoke_json(&results);
-        assert!(j.contains("\"schema\": \"dtrack-bench-smoke/v7\""));
+        assert!(j.contains("\"schema\": \"dtrack-bench-smoke/v8\""));
         assert!(j.contains("\"threaded_batched_speedup\""));
         assert!(j.contains("\"facade_overhead_geomean\""));
         assert!(j.contains("\"sharded_scale_speedup_k256\""));
         assert!(j.contains("\"adaptive_vs_fixed_throughput\""));
         assert!(j.contains("\"free_run_words_factor\""));
-        assert!(j.contains("\"async_vs_sharded_k4096\""));
         assert!(j.contains("\"trace_overhead_geomean\""));
         assert!(j.contains("\"words\": 1234"));
         assert!(j.ends_with("]\n}\n"));

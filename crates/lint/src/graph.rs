@@ -9,8 +9,9 @@
 //! contributes a non-blocking edge — recorded so cycles can be talked
 //! about, but unable to wedge anyone by itself.
 //!
-//! The deadlock-freedom argument in DESIGN.md ("The threaded runtime")
-//! is exactly the shape this module checks mechanically:
+//! The deadlock-freedom argument in DESIGN.md ("The parallel runtime →
+//! Backpressure and deadlock freedom") is exactly the shape this module
+//! checks mechanically:
 //!
 //! 1. **The bounded subgraph must be acyclic.** A cycle of blocking
 //!    edges is a potential deadlock: every role in it can be waiting for

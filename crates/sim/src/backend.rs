@@ -4,31 +4,24 @@
 //! A backend owns `k` [`Site`] state machines plus one [`Coordinator`]
 //! and carries their messages. The [`Backend`] trait is the *only*
 //! surface the [`crate::Tracker`] facade (and the testkit's generic
-//! scenario drivers) need, so adding a runtime — the ROADMAP's async
-//! executor, work-stealing shards, a sharded coordinator — means one new
-//! impl here and zero changes anywhere above.
+//! scenario drivers) need, so adding a runtime (a sharded coordinator,
+//! say) means one new impl here and zero changes anywhere above.
 //!
-//! Three implementations exist today:
+//! Two implementations exist:
 //!
 //! * [`DeterministicBackend`] wraps [`Cluster`]: single-threaded, every
 //!   arrival drained to quiescence, the transcript the paper's theorems
 //!   are metered against. `settle` is a no-op (the system is always
 //!   quiescent between calls).
-//! * [`ThreadedBackend`] wraps [`crate::threaded::ThreadedCluster`]: one
-//!   OS thread per site plus a coordinator thread. `feed_batch` uses the
-//!   transcript-identical site-at-a-time schedule; [`Backend::ingest`]
-//!   uses free-running per-site runs paced by the shared [`AimdWindow`]
-//!   (the adaptive flow-control discipline that keeps feedback-starved
-//!   sites from over-communicating lives *here*, so every caller gets it
-//!   for free — see [`crate::flow`]).
-//! * [`ShardedBackend`] wraps [`crate::sharded::ShardedCluster`]: many
-//!   logical sites multiplexed onto a fixed work-stealing worker pool, so
-//!   the site count can scale far past the core count. Same batch
-//!   schedule, same AIMD window for free-running ingest.
-//! * [`AsyncBackend`] wraps [`crate::async_rt::AsyncCluster`]: sites as
-//!   lightweight tasks on a `tokio`-style executor over a fixed worker
-//!   pool, with an optional length-prefixed wire codec on every hop.
-//!   Same batch schedule, same AIMD window.
+//! * [`ShardedBackend`] wraps [`crate::sharded::ShardedCluster`]: logical
+//!   sites on a work-stealing worker pool, so the site count can scale
+//!   far past the core count (and `workers = k` gives every site a
+//!   thread of its own). `feed_batch` uses the transcript-identical
+//!   site-at-a-time schedule; [`Backend::ingest`] uses free-running
+//!   per-site runs paced by the [`AimdWindow`] (the adaptive
+//!   flow-control discipline that keeps feedback-starved sites from
+//!   over-communicating lives *here*, so every caller gets it for free —
+//!   see [`crate::flow`]).
 
 #![deny(missing_docs)]
 
@@ -39,16 +32,13 @@ use crossbeam::channel::RecvTimeoutError;
 use dtrack_trace::{
     merge_snapshots, SiteTracer, TraceConfig, TraceEvent, TraceEventKind, TraceLane,
 };
-use dtrack_wire::WireMessage;
 
-use crate::async_rt::{AsyncCluster, AsyncConfig};
 use crate::cluster::Cluster;
 use crate::error::SimError;
 use crate::flow::{AimdController, FlowControlConfig, FlowControlStats};
 use crate::meter::MessageMeter;
 use crate::proto::{Coordinator, Site, SiteId};
-use crate::sharded::{ShardedCluster, ShardedConfig};
-use crate::threaded::{RunTicket, ThreadedCluster, SITE_QUEUE_CAP};
+use crate::sharded::{RunTicket, ShardedCluster, ShardedConfig};
 
 /// One injectable fault, applied through [`Backend::inject_fault`] so
 /// every runtime honors the same hostile-scenario vocabulary.
@@ -89,9 +79,9 @@ pub enum FaultEvent {
 /// down.
 ///
 /// All methods take `&mut self` even where an implementation could accept
-/// `&self` (the threaded cluster's channels are `Sync`): the facade
+/// `&self` (the sharded cluster's queues are `Sync`): the facade
 /// serializes callers anyway, and `&mut` keeps the deterministic and
-/// threaded signatures identical.
+/// parallel signatures identical.
 pub trait Backend<S, C>: Sized
 where
     S: Site,
@@ -101,7 +91,7 @@ where
     /// Deliver one item to one site.
     ///
     /// Deterministic: runs all triggered communication to quiescence
-    /// before returning. Threaded: enqueues and returns (backpressure
+    /// before returning. Sharded: enqueues and returns (backpressure
     /// blocks only when the site's queue is full).
     fn feed(&mut self, site: SiteId, item: S::Item) -> Result<(), SimError>;
 
@@ -310,7 +300,7 @@ where
 }
 
 /// The shared per-site AIMD flow-control window behind
-/// [`Backend::ingest`] on both parallel backends (the successor of the
+/// [`Backend::ingest`] on the parallel backend (the successor of the
 /// fixed one-run-per-site ticket window).
 ///
 /// Each site keeps at most one outstanding run plus a small buffer of
@@ -318,8 +308,8 @@ where
 /// [`AimdController`] window: completed runs grow it additively, the
 /// drift signal halves it. Unbounded run queueing would let sites race
 /// ahead of coordinator feedback and flood stale-threshold deltas (see
-/// [`ThreadedCluster::ingest_run`]); sharing the controller here keeps a
-/// future fix from silently missing one backend.
+/// [`ShardedCluster::ingest_run`]); keeping the controller in its own
+/// type keeps it separate from the pool's scheduling.
 ///
 /// Buffered items become visible at the next flush point — any further
 /// `ingest` for the site, or `settle`/`finish`/`inject_fault`, all of
@@ -616,186 +606,6 @@ fn settle_end(tracer: &mut SiteTracer, started: Option<Instant>) {
     }
 }
 
-/// The OS-thread backend (wraps [`ThreadedCluster`]).
-pub struct ThreadedBackend<S, C>
-where
-    S: Site + Send + 'static,
-    C: Coordinator<Up = S::Up, Down = S::Down> + Send + 'static,
-    S::Item: Send + Clone,
-    S::Up: Send,
-    S::Down: Send + Sync,
-{
-    cluster: ThreadedCluster<S, C>,
-    window: AimdWindow<S::Item>,
-    /// Driver-lane tracer: settle phases and fault events.
-    tracer: SiteTracer,
-}
-
-impl<S, C> ThreadedBackend<S, C>
-where
-    S: Site + Send + 'static,
-    C: Coordinator<Up = S::Up, Down = S::Down> + Send + 'static,
-    S::Item: Send + Clone,
-    S::Up: Send,
-    S::Down: Send + Sync,
-{
-    /// Spawn the worker threads from pre-constructed protocol state,
-    /// with the default site-queue capacity.
-    pub fn spawn(sites: Vec<S>, coordinator: C) -> Result<Self, SimError> {
-        Self::spawn_with_cap(sites, coordinator, SITE_QUEUE_CAP)
-    }
-
-    /// [`ThreadedBackend::spawn`] with an explicit per-site queue
-    /// capacity (see [`ThreadedCluster::spawn_with_cap`]).
-    pub fn spawn_with_cap(
-        sites: Vec<S>,
-        coordinator: C,
-        queue_cap: usize,
-    ) -> Result<Self, SimError> {
-        let k = sites.len();
-        let cluster = ThreadedCluster::spawn_with_cap(sites, coordinator, queue_cap)?;
-        let mut window = AimdWindow::new(k, FlowControlConfig::default());
-        window.set_tracer(SiteTracer::new(
-            Arc::clone(cluster.trace_shared()),
-            TraceLane::Driver,
-        ));
-        let tracer = SiteTracer::new(Arc::clone(cluster.trace_shared()), TraceLane::Driver);
-        Ok(ThreadedBackend {
-            cluster,
-            window,
-            tracer,
-        })
-    }
-
-    /// Replace the free-running flow-control configuration (resets every
-    /// window to the configuration's initial value; call before
-    /// ingesting).
-    pub fn set_flow_control(&mut self, config: FlowControlConfig) {
-        self.window.set_config(config);
-    }
-}
-
-impl<S, C> Backend<S, C> for ThreadedBackend<S, C>
-where
-    S: Site + Send + 'static,
-    C: Coordinator<Up = S::Up, Down = S::Down> + Send + 'static,
-    S::Item: Send + Clone,
-    S::Up: Send,
-    S::Down: Send + Sync,
-{
-    fn feed(&mut self, site: SiteId, item: S::Item) -> Result<(), SimError> {
-        // Flush buffered free-running runs first so items stay ordered
-        // per site even when callers mix ingest and feed.
-        let cluster = &self.cluster;
-        self.window.flush(|s, run| cluster.ingest_run(s, run));
-        self.cluster.feed(site, item)
-    }
-
-    fn feed_batch(&mut self, batch: &[(SiteId, S::Item)]) -> Result<(), SimError> {
-        let cluster = &self.cluster;
-        self.window.flush(|s, run| cluster.ingest_run(s, run));
-        self.cluster.feed_batch(batch)
-    }
-
-    fn ingest(&mut self, site: SiteId, items: Vec<S::Item>) -> Result<(), SimError> {
-        let cluster = &self.cluster;
-        self.window.ingest(
-            site,
-            items,
-            |run| cluster.ingest_run(site, run),
-            || cluster.words_hint(),
-            || cluster.backlog_hint(),
-        )
-    }
-
-    fn settle(&mut self) {
-        // Tail-flush buffered runs, then wait: the pending counter covers
-        // queued runs (each `Run` command holds a token until fully
-        // consumed), so waiting for quiescence also waits out every
-        // outstanding ticket.
-        let cluster = &self.cluster;
-        self.window.flush(|s, run| cluster.ingest_run(s, run));
-        let started = settle_begin(&mut self.tracer, self.cluster.backlog_hint());
-        self.cluster.settle();
-        settle_end(&mut self.tracer, started);
-    }
-
-    fn settle_deadline(&mut self, deadline: Duration) -> Result<(), SimError> {
-        let cluster = &self.cluster;
-        self.window.flush(|s, run| cluster.ingest_run(s, run));
-        let started = settle_begin(&mut self.tracer, self.cluster.backlog_hint());
-        let result = self.cluster.settle_deadline(deadline);
-        settle_end(&mut self.tracer, started);
-        result
-    }
-
-    fn cost_hint(&mut self, words_per_item: f64) {
-        self.window.set_ref_rate(words_per_item);
-    }
-
-    fn flow_control(&self) -> Option<FlowControlStats> {
-        Some(self.window.stats())
-    }
-
-    fn inject_fault(&mut self, fault: FaultEvent) -> Result<(), SimError> {
-        // Flush so the fault's position relative to already-ingested
-        // items is deterministic.
-        let cluster = &self.cluster;
-        self.window.flush(|s, run| cluster.ingest_run(s, run));
-        match fault {
-            FaultEvent::KillSite { site } => {
-                self.cluster.kill_site(site)?;
-                self.tracer
-                    .record(TraceEventKind::SiteKilled { site: site.0 });
-                Ok(())
-            }
-            FaultEvent::StallSite { site, micros } => {
-                self.cluster.stall_site(site, micros)?;
-                self.tracer.record(TraceEventKind::SiteStalled {
-                    site: site.0,
-                    micros,
-                });
-                Ok(())
-            }
-        }
-    }
-
-    fn with_coordinator<R, F>(&mut self, f: F) -> Result<R, SimError>
-    where
-        R: Send + 'static,
-        F: FnOnce(&mut C) -> R + Send + 'static,
-    {
-        self.cluster.with_coordinator(f)
-    }
-
-    fn set_trace(&mut self, config: TraceConfig) {
-        self.cluster.set_trace(config);
-    }
-
-    fn trace_events(&mut self) -> Vec<TraceEvent> {
-        merge_snapshots(vec![
-            self.cluster.trace_events(),
-            self.tracer.snapshot(),
-            self.window.tracer_snapshot(),
-        ])
-    }
-
-    fn trace_dropped(&mut self) -> u64 {
-        self.cluster.trace_dropped() + self.tracer.dropped() + self.window.tracer_dropped()
-    }
-
-    fn cost(&mut self) -> MessageMeter {
-        self.cluster.cost()
-    }
-
-    fn finish(mut self) -> Result<(C, Vec<S>, MessageMeter), SimError> {
-        let cluster = &self.cluster;
-        self.window.flush(|s, run| cluster.ingest_run(s, run));
-        self.window.clear();
-        self.cluster.shutdown()
-    }
-}
-
 /// The work-stealing pool backend (wraps [`ShardedCluster`]): a fixed
 /// worker count serving any number of logical sites.
 pub struct ShardedBackend<S, C>
@@ -887,185 +697,9 @@ where
     }
 
     fn settle(&mut self) {
-        // As on the threaded backend, the pending counter covers queued
-        // runs, so settling also waits out every outstanding ticket.
-        let cluster = &self.cluster;
-        self.window.flush(|s, run| cluster.ingest_run(s, run));
-        let started = settle_begin(&mut self.tracer, self.cluster.backlog_hint());
-        self.cluster.settle();
-        settle_end(&mut self.tracer, started);
-    }
-
-    fn settle_deadline(&mut self, deadline: Duration) -> Result<(), SimError> {
-        let cluster = &self.cluster;
-        self.window.flush(|s, run| cluster.ingest_run(s, run));
-        let started = settle_begin(&mut self.tracer, self.cluster.backlog_hint());
-        let result = self.cluster.settle_deadline(deadline);
-        settle_end(&mut self.tracer, started);
-        result
-    }
-
-    fn cost_hint(&mut self, words_per_item: f64) {
-        self.window.set_ref_rate(words_per_item);
-    }
-
-    fn flow_control(&self) -> Option<FlowControlStats> {
-        Some(self.window.stats())
-    }
-
-    fn inject_fault(&mut self, fault: FaultEvent) -> Result<(), SimError> {
-        let cluster = &self.cluster;
-        self.window.flush(|s, run| cluster.ingest_run(s, run));
-        match fault {
-            FaultEvent::KillSite { site } => {
-                self.cluster.kill_site(site)?;
-                self.tracer
-                    .record(TraceEventKind::SiteKilled { site: site.0 });
-                Ok(())
-            }
-            FaultEvent::StallSite { site, micros } => {
-                self.cluster.stall_site(site, micros)?;
-                self.tracer.record(TraceEventKind::SiteStalled {
-                    site: site.0,
-                    micros,
-                });
-                Ok(())
-            }
-        }
-    }
-
-    fn with_coordinator<R, F>(&mut self, f: F) -> Result<R, SimError>
-    where
-        R: Send + 'static,
-        F: FnOnce(&mut C) -> R + Send + 'static,
-    {
-        self.cluster.with_coordinator(f)
-    }
-
-    fn set_trace(&mut self, config: TraceConfig) {
-        self.cluster.set_trace(config);
-    }
-
-    fn trace_events(&mut self) -> Vec<TraceEvent> {
-        merge_snapshots(vec![
-            self.cluster.trace_events(),
-            self.tracer.snapshot(),
-            self.window.tracer_snapshot(),
-        ])
-    }
-
-    fn trace_dropped(&mut self) -> u64 {
-        self.cluster.trace_dropped() + self.tracer.dropped() + self.window.tracer_dropped()
-    }
-
-    fn cost(&mut self) -> MessageMeter {
-        self.cluster.cost()
-    }
-
-    fn finish(mut self) -> Result<(C, Vec<S>, MessageMeter), SimError> {
-        let cluster = &self.cluster;
-        self.window.flush(|s, run| cluster.ingest_run(s, run));
-        self.window.clear();
-        self.cluster.shutdown()
-    }
-}
-
-/// The async-task backend (wraps [`AsyncCluster`]): any number of sites
-/// as tasks on a fixed worker pool, with an optional wire codec on every
-/// hop ([`AsyncConfig::wire`]).
-pub struct AsyncBackend<S, C>
-where
-    S: Site + Send + 'static,
-    C: Coordinator<Up = S::Up, Down = S::Down> + Send + 'static,
-    S::Item: Send + Clone,
-    S::Up: Send + WireMessage,
-    S::Down: Send + Sync + WireMessage,
-{
-    cluster: AsyncCluster<S, C>,
-    window: AimdWindow<S::Item>,
-    /// Driver-lane tracer: settle phases and fault events.
-    tracer: SiteTracer,
-}
-
-impl<S, C> AsyncBackend<S, C>
-where
-    S: Site + Send + 'static,
-    C: Coordinator<Up = S::Up, Down = S::Down> + Send + 'static,
-    S::Item: Send + Clone,
-    S::Up: Send + WireMessage,
-    S::Down: Send + Sync + WireMessage,
-{
-    /// Spawn the default pool (one worker per core, wire codec off) from
-    /// pre-constructed protocol state.
-    pub fn spawn(sites: Vec<S>, coordinator: C) -> Result<Self, SimError> {
-        Self::spawn_with(sites, coordinator, AsyncConfig::default())
-    }
-
-    /// Spawn with an explicit worker count, queue capacity, and wire
-    /// setting.
-    pub fn spawn_with(
-        sites: Vec<S>,
-        coordinator: C,
-        config: AsyncConfig,
-    ) -> Result<Self, SimError> {
-        let k = sites.len();
-        let cluster = AsyncCluster::spawn_with(sites, coordinator, config)?;
-        let mut window = AimdWindow::new(k, FlowControlConfig::default());
-        window.set_tracer(SiteTracer::new(
-            Arc::clone(cluster.trace_shared()),
-            TraceLane::Driver,
-        ));
-        let tracer = SiteTracer::new(Arc::clone(cluster.trace_shared()), TraceLane::Driver);
-        Ok(AsyncBackend {
-            cluster,
-            window,
-            tracer,
-        })
-    }
-
-    /// Replace the free-running flow-control configuration (resets every
-    /// window to the configuration's initial value; call before
-    /// ingesting).
-    pub fn set_flow_control(&mut self, config: FlowControlConfig) {
-        self.window.set_config(config);
-    }
-}
-
-impl<S, C> Backend<S, C> for AsyncBackend<S, C>
-where
-    S: Site + Send + 'static,
-    C: Coordinator<Up = S::Up, Down = S::Down> + Send + 'static,
-    S::Item: Send + Clone,
-    S::Up: Send + WireMessage,
-    S::Down: Send + Sync + WireMessage,
-{
-    fn feed(&mut self, site: SiteId, item: S::Item) -> Result<(), SimError> {
-        let cluster = &self.cluster;
-        self.window.flush(|s, run| cluster.ingest_run(s, run));
-        self.cluster.feed(site, item)
-    }
-
-    fn feed_batch(&mut self, batch: &[(SiteId, S::Item)]) -> Result<(), SimError> {
-        let cluster = &self.cluster;
-        self.window.flush(|s, run| cluster.ingest_run(s, run));
-        self.cluster.feed_batch(batch)
-    }
-
-    fn ingest(&mut self, site: SiteId, items: Vec<S::Item>) -> Result<(), SimError> {
-        let cluster = &self.cluster;
-        self.window.ingest(
-            site,
-            items,
-            |run| cluster.ingest_run(site, run),
-            || cluster.words_hint(),
-            || cluster.backlog_hint(),
-        )
-    }
-
-    fn settle(&mut self) {
-        // As on the other parallel backends, the pending counter covers
-        // queued runs, so settling also waits out every outstanding
-        // ticket.
+        // Tail-flush buffered runs, then wait: the pending counter covers
+        // queued runs (each `Run` command holds a token until fully
+        // consumed), so settling also waits out every outstanding ticket.
         let cluster = &self.cluster;
         self.window.flush(|s, run| cluster.ingest_run(s, run));
         let started = settle_begin(&mut self.tracer, self.cluster.backlog_hint());
@@ -1151,7 +785,6 @@ where
 mod tests {
     use super::*;
     use crate::proto::{MessageSize, Outbox};
-    use dtrack_wire::{put_u64, DecodeError, WireReader};
 
     #[derive(Debug, Default)]
     struct EchoSite;
@@ -1177,21 +810,6 @@ mod tests {
         }
     }
 
-    impl WireMessage for Up {
-        fn wire_encode(&self, out: &mut Vec<u8>) {
-            put_u64(out, self.0);
-        }
-        fn wire_decode(r: &mut WireReader<'_>) -> Result<Self, DecodeError> {
-            Ok(Up(r.u64()?))
-        }
-    }
-    impl WireMessage for NoDown {
-        fn wire_encode(&self, _out: &mut Vec<u8>) {}
-        fn wire_decode(_r: &mut WireReader<'_>) -> Result<Self, DecodeError> {
-            Ok(NoDown)
-        }
-    }
-
     impl Site for EchoSite {
         type Item = u64;
         type Up = Up;
@@ -1211,6 +829,14 @@ mod tests {
         type Down = NoDown;
         fn on_message(&mut self, _from: SiteId, msg: Up, _out: &mut Outbox<NoDown>) {
             self.sum += msg.0;
+        }
+    }
+
+    /// One worker per site (k = 2).
+    fn per_site() -> ShardedConfig {
+        ShardedConfig {
+            workers: Some(2),
+            ..ShardedConfig::default()
         }
     }
 
@@ -1237,12 +863,6 @@ mod tests {
     }
 
     #[test]
-    fn threaded_backend_drives_the_protocol() {
-        let sites = (0..2).map(|_| EchoSite).collect();
-        run_backend(ThreadedBackend::spawn(sites, SumCoord::default()).unwrap());
-    }
-
-    #[test]
     fn sharded_backend_drives_the_protocol() {
         // Fewer workers than sites and more workers than sites both
         // satisfy the backend contract.
@@ -1253,21 +873,6 @@ mod tests {
                 ..ShardedConfig::default()
             };
             run_backend(ShardedBackend::spawn_with(sites, SumCoord::default(), config).unwrap());
-        }
-    }
-
-    #[test]
-    fn async_backend_drives_the_protocol() {
-        // Wire codec off and on must satisfy the same contract with the
-        // same metered totals.
-        for wire in [false, true] {
-            let sites = (0..2).map(|_| EchoSite).collect();
-            let config = AsyncConfig {
-                workers: Some(2),
-                ..AsyncConfig::default()
-            }
-            .with_wire(wire);
-            run_backend(AsyncBackend::spawn_with(sites, SumCoord::default(), config).unwrap());
         }
     }
 
@@ -1306,34 +911,11 @@ mod tests {
     }
 
     #[test]
-    fn threaded_backend_traces_the_hop_vocabulary() {
-        let sites = (0..2).map(|_| EchoSite).collect();
-        run_traced_backend(ThreadedBackend::spawn(sites, SumCoord::default()).unwrap());
-    }
-
-    #[test]
     fn sharded_backend_traces_the_hop_vocabulary() {
         let sites = (0..2).map(|_| EchoSite).collect();
-        let config = ShardedConfig {
-            workers: Some(2),
-            ..ShardedConfig::default()
-        };
-        run_traced_backend(ShardedBackend::spawn_with(sites, SumCoord::default(), config).unwrap());
-    }
-
-    #[test]
-    fn async_backend_traces_the_hop_vocabulary() {
-        for wire in [false, true] {
-            let sites = (0..2).map(|_| EchoSite).collect();
-            let config = AsyncConfig {
-                workers: Some(2),
-                ..AsyncConfig::default()
-            }
-            .with_wire(wire);
-            run_traced_backend(
-                AsyncBackend::spawn_with(sites, SumCoord::default(), config).unwrap(),
-            );
-        }
+        run_traced_backend(
+            ShardedBackend::spawn_with(sites, SumCoord::default(), per_site()).unwrap(),
+        );
     }
 
     /// Identical fault semantics on every backend: a killed site rejects
@@ -1373,39 +955,17 @@ mod tests {
     }
 
     #[test]
-    fn threaded_backend_honors_fault_injection() {
-        let sites = (0..2).map(|_| EchoSite).collect();
-        run_faulted_backend(ThreadedBackend::spawn(sites, SumCoord::default()).unwrap());
-    }
-
-    #[test]
     fn sharded_backend_honors_fault_injection() {
         let sites = (0..2).map(|_| EchoSite).collect();
-        let config = ShardedConfig {
-            workers: Some(2),
-            ..ShardedConfig::default()
-        };
         run_faulted_backend(
-            ShardedBackend::spawn_with(sites, SumCoord::default(), config).unwrap(),
+            ShardedBackend::spawn_with(sites, SumCoord::default(), per_site()).unwrap(),
         );
-    }
-
-    #[test]
-    fn async_backend_honors_fault_injection() {
-        let sites = (0..2).map(|_| EchoSite).collect();
-        let config = AsyncConfig {
-            workers: Some(2),
-            ..AsyncConfig::default()
-        };
-        run_faulted_backend(AsyncBackend::spawn_with(sites, SumCoord::default(), config).unwrap());
     }
 
     #[test]
     fn backends_reject_small_clusters() {
         assert!(DeterministicBackend::new(vec![EchoSite], SumCoord::default()).is_err());
-        assert!(ThreadedBackend::spawn(vec![EchoSite], SumCoord::default()).is_err());
         assert!(ShardedBackend::spawn(vec![EchoSite], SumCoord::default()).is_err());
-        assert!(AsyncBackend::spawn(vec![EchoSite], SumCoord::default()).is_err());
     }
 
     /// A stalled site must degrade `settle_deadline` to `Timeout` instead
@@ -1426,20 +986,10 @@ mod tests {
     }
 
     #[test]
-    fn threaded_settle_deadline_times_out_under_stall() {
-        let sites = (0..2).map(|_| EchoSite).collect();
-        run_stalled_deadline(ThreadedBackend::spawn(sites, SumCoord::default()).unwrap());
-    }
-
-    #[test]
     fn sharded_settle_deadline_times_out_under_stall() {
         let sites = (0..2).map(|_| EchoSite).collect();
-        let config = ShardedConfig {
-            workers: Some(2),
-            ..ShardedConfig::default()
-        };
         run_stalled_deadline(
-            ShardedBackend::spawn_with(sites, SumCoord::default(), config).unwrap(),
+            ShardedBackend::spawn_with(sites, SumCoord::default(), per_site()).unwrap(),
         );
     }
 
@@ -1455,7 +1005,7 @@ mod tests {
     #[test]
     fn clean_runs_grow_the_window_between_settles() {
         let sites = (0..2).map(|_| EchoSite).collect();
-        let mut b = ThreadedBackend::spawn(sites, SumCoord::default()).unwrap();
+        let mut b = ShardedBackend::spawn_with(sites, SumCoord::default(), per_site()).unwrap();
         b.set_flow_control(FlowControlConfig {
             win_min: 1,
             win_max: 64,
@@ -1482,7 +1032,7 @@ mod tests {
     #[test]
     fn backpressure_on_a_stalled_site_halves_its_window() {
         let sites = (0..2).map(|_| EchoSite).collect();
-        let mut b = ThreadedBackend::spawn(sites, SumCoord::default()).unwrap();
+        let mut b = ShardedBackend::spawn_with(sites, SumCoord::default(), per_site()).unwrap();
         b.set_flow_control(FlowControlConfig {
             win_min: 1,
             win_max: 64,

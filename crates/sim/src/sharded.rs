@@ -1,12 +1,13 @@
 //! Work-stealing sharded runtime: many logical sites multiplexed onto a
 //! fixed worker pool.
 //!
-//! The threaded runtime ([`crate::threaded::ThreadedCluster`]) spawns one
-//! OS thread per site, which stops scaling around k ≈ cores: past that,
-//! threads mostly context-switch instead of ingesting. This runtime keeps
-//! the *same* `Site`/`Coordinator` state machines and the *same* metered
-//! transcript, but runs them on `W` worker threads (default: the number
-//! of cores), so one process can host thousands of logical sites.
+//! The same `Site`/`Coordinator` state machines as the deterministic
+//! [`crate::Cluster`], and the same metered transcript, run on `W`
+//! worker threads (default: the number of cores) plus one coordinator
+//! thread, so one process can host thousands of logical sites. With
+//! `W = k` every site gets a worker of its own: the one-thread-per-site
+//! configuration is this pool at `workers: Some(k)`, not a separate
+//! runtime.
 //!
 //! ## Design
 //!
@@ -29,19 +30,35 @@
 //!   queue lock, guarantees a site is in at most one shard deque and
 //!   served by at most one worker at a time — so per-site FIFO order
 //!   survives any interleaving of steals and requeues.
-//! * **Same quiescence accounting.** Every command carries a
-//!   `PendingToken` from the threaded runtime: created at enqueue time,
-//!   released on drop — after the handler finished and its outputs
-//!   (carrying their own tokens) were enqueued, or when a dead site's
-//!   queue is drained, or when a handler panics. [`ShardedCluster::settle`]
-//!   parks on the same counter, so it can never hang on a stalled or
-//!   dead worker.
+//! * **Bounded site queues, unbounded coordinator inbox.** Each site's
+//!   queue holds at most [`SITE_QUEUE_CAP`] commands (configurable); a
+//!   faster producer (the feeder, or the coordinator broadcasting)
+//!   blocks instead of growing an unbounded queue. The coordinator's
+//!   inbox stays unbounded on purpose: upstream traffic is
+//!   protocol-bounded (O(k/ε·log n) words for the whole stream), and an
+//!   unbounded inbox breaks the only send cycle in the system
+//!   (site → coordinator → site). That is the deadlock-freedom argument:
+//!   a worker never blocks sending up, so it always drains the site it
+//!   serves, so blocked down-sends and feeds always make progress.
+//! * **Event-based quiescence.** A single atomic counter ([`Pending`])
+//!   tracks commands and messages that are queued or being processed;
+//!   [`ShardedCluster::settle`] parks on a condvar that the last
+//!   decrement signals — no spinning.
+//! * **Token-tracked pending counts.** Every tracked command carries a
+//!   [`PendingToken`] that increments the counter on creation and
+//!   decrements it on drop. Handlers hold the token while they run and
+//!   emit outputs (which carry their own tokens) before releasing it, so
+//!   the counter only reaches zero when a whole cascade has finished. The
+//!   token makes the counter leak-proof by construction: a push that
+//!   fails (the command comes back inside the error), a dead site's
+//!   drained queue, and a handler that panics all release their count on
+//!   the normal drop path — so `settle` can never hang on a stalled or
+//!   dead site.
 //! * **Per-site meters.** Upstream hops are metered at the sending site,
 //!   downstream hops at the receiving site, each into that site's own
 //!   [`MessageMeter`] (touched only by the worker currently serving the
 //!   site — no contended lock on the per-hop path). [`ShardedCluster::cost`]
-//!   and [`ShardedCluster::shutdown`] merge them on demand, exactly like
-//!   the threaded runtime's per-thread meters.
+//!   and [`ShardedCluster::shutdown`] merge them on demand.
 //! * **Death containment.** A panicking site handler poisons only that
 //!   site: the worker catches the unwind, discards the site's state,
 //!   marks its queue dead (draining it releases the queued tokens and
@@ -55,17 +72,19 @@
 //! between quiescent steps — under that schedule at most one site-run is
 //! in flight, and it is served by exactly one worker in FIFO order, so
 //! which worker (home or thief) serves it is unobservable: answers and
-//! metered words match the deterministic runner bit-for-bit. Stealing
-//! individual *items* instead would interleave one site's arrivals
-//! across workers and break the per-site order the protocols assume.
+//! metered words match the deterministic runner bit-for-bit at any
+//! worker count. Stealing individual *items* instead would interleave
+//! one site's arrivals across workers and break the per-site order the
+//! protocols assume.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use dtrack_trace::{
     merge_snapshots, SiteTracer, TraceConfig, TraceEvent, TraceEventKind, TraceLane, TraceShared,
 };
@@ -73,7 +92,138 @@ use dtrack_trace::{
 use crate::error::SimError;
 use crate::meter::MessageMeter;
 use crate::proto::{Coordinator, Down, MessageSize, Outbox, Site, SiteId};
-use crate::threaded::{Pending, PendingToken, RunTicket, SITE_QUEUE_CAP};
+
+/// Default capacity of each site's command queue. Deep enough that the
+/// feeder and the coordinator rarely contend on a healthy run, shallow
+/// enough that a stalled site exerts backpressure (a blocked `feed`)
+/// instead of accumulating unbounded memory. Override it per cluster
+/// with [`ShardedConfig::site_queue_cap`] or
+/// `TrackerBuilder::site_queue_cap`.
+pub const SITE_QUEUE_CAP: usize = 1024;
+
+/// Shared bookkeeping for quiescence detection: the number of messages
+/// that are queued or currently being processed, plus the condvar
+/// [`ShardedCluster::settle`] parks on.
+#[derive(Debug, Default)]
+pub(crate) struct Pending {
+    count: AtomicU64,
+    idle_lock: Mutex<()>,
+    idle_cv: Condvar,
+}
+
+impl Pending {
+    fn inc(&self) {
+        self.count.fetch_add(1, Ordering::SeqCst);
+    }
+
+    fn dec(&self) {
+        let prev = self.count.fetch_sub(1, Ordering::SeqCst);
+        // An unmatched decrement used to wrap to u64::MAX and silently
+        // wedge quiescence detection; fail loudly instead.
+        assert!(
+            prev != 0,
+            "Pending::dec without a matching inc — quiescence counter underflow"
+        );
+        if prev == 1 {
+            // Take the lock before notifying so a waiter that has checked
+            // the counter but not yet parked cannot miss the wakeup.
+            let _guard = self.idle_lock.lock().unwrap_or_else(|e| e.into_inner());
+            self.idle_cv.notify_all();
+        }
+    }
+
+    /// Current in-flight count (commands plus undelivered protocol
+    /// messages) — the free-running flow controller's backlog signal.
+    pub(crate) fn count(&self) -> u64 {
+        self.count.load(Ordering::SeqCst)
+    }
+
+    pub(crate) fn wait_idle(&self) {
+        if self.count.load(Ordering::SeqCst) == 0 {
+            return;
+        }
+        let mut guard = self.idle_lock.lock().unwrap_or_else(|e| e.into_inner());
+        while self.count.load(Ordering::SeqCst) != 0 {
+            guard = self.idle_cv.wait(guard).unwrap_or_else(|e| e.into_inner());
+        }
+    }
+
+    /// Deadline-aware [`Pending::wait_idle`]: `true` when the system went
+    /// quiescent, `false` when the deadline expired first (the count may
+    /// still drain later — nothing is cancelled).
+    pub(crate) fn wait_idle_deadline(&self, deadline: Duration) -> bool {
+        if self.count.load(Ordering::SeqCst) == 0 {
+            return true;
+        }
+        let start = Instant::now();
+        let mut guard = self.idle_lock.lock().unwrap_or_else(|e| e.into_inner());
+        while self.count.load(Ordering::SeqCst) != 0 {
+            let elapsed = start.elapsed();
+            if elapsed >= deadline {
+                return false;
+            }
+            let (g, _) = self
+                .idle_cv
+                .wait_timeout(guard, deadline - elapsed)
+                .unwrap_or_else(|e| e.into_inner());
+            guard = g;
+        }
+        true
+    }
+}
+
+/// One unit of the pending count, held by exactly one in-flight command.
+/// Created at send time (increments), released on drop (decrements) — on
+/// the success path after the handler finishes, but equally when a send
+/// fails and returns the command, when a disconnected queue destroys its
+/// backlog, or when a handler panics and unwinds.
+pub(crate) struct PendingToken(Arc<Pending>);
+
+impl PendingToken {
+    pub(crate) fn new(pending: &Arc<Pending>) -> Self {
+        pending.inc();
+        PendingToken(Arc::clone(pending))
+    }
+}
+
+impl Drop for PendingToken {
+    fn drop(&mut self) {
+        self.0.dec();
+    }
+}
+
+/// Completion handle for a free-running [`ShardedCluster::ingest_run`].
+#[must_use = "hold the ticket and wait on it to bound in-flight items per site"]
+pub struct RunTicket(pub(crate) Receiver<()>);
+
+impl RunTicket {
+    /// Block until the run has been fully consumed.
+    ///
+    /// Returns [`SimError::WorkerGone`] when the consuming site died
+    /// before finishing the run (its `done` sender is destroyed with the
+    /// site's drained queue): the items were *not* all ingested, and
+    /// callers that used to treat this as normal completion silently
+    /// dropped data. The disconnect still resolves immediately — a dead
+    /// site can never hang the feeder.
+    pub fn wait(self) -> Result<(), SimError> {
+        self.0
+            .recv()
+            .map_err(|_| SimError::WorkerGone { who: "site" })
+    }
+
+    /// Deadline-aware [`RunTicket::wait`]: a run still unconsumed after
+    /// `deadline` (a stalled or wedged site) returns
+    /// [`SimError::Timeout`] instead of parking forever. The ticket is
+    /// consumed either way; the run itself is not cancelled.
+    pub fn wait_timeout(self, deadline: Duration) -> Result<(), SimError> {
+        self.0.recv_timeout(deadline).map_err(|e| match e {
+            RecvTimeoutError::Timeout => SimError::Timeout {
+                waited_ms: deadline.as_millis() as u64,
+            },
+            RecvTimeoutError::Disconnected => SimError::WorkerGone { who: "site" },
+        })
+    }
+}
 
 /// Configuration of the sharded worker pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,9 +231,8 @@ pub struct ShardedConfig {
     /// Worker threads serving all sites; `None` means one per available
     /// core (`std::thread::available_parallelism`). Clamped to ≥ 1.
     pub workers: Option<usize>,
-    /// Per-site command-queue capacity (see
-    /// [`crate::threaded::SITE_QUEUE_CAP`], the shared default). Clamped
-    /// to ≥ 1.
+    /// Per-site command-queue capacity (default [`SITE_QUEUE_CAP`]).
+    /// Clamped to ≥ 1.
     pub site_queue_cap: usize,
 }
 
@@ -111,9 +260,9 @@ pub fn default_workers() -> usize {
         .unwrap_or(1)
 }
 
-/// One queued unit of site work. Mirrors the threaded runtime's command
-/// set; meter snapshots and teardown are handled out-of-band (the pool
-/// owns the site state, so no `Meter`/`Stop` commands are needed).
+/// One queued unit of site work. Meter snapshots and teardown are
+/// handled out-of-band (the pool owns the site state, so no
+/// `Meter`/`Stop` commands are needed).
 enum ShardCmd<S: Site> {
     /// One item; the per-item slow path.
     Item(S::Item, PendingToken),
@@ -194,10 +343,10 @@ struct SiteSlot<S: Site> {
 /// next queued command is coordinator feedback (a `Down`): workers
 /// drain it first across all shards, because a site sitting on
 /// unapplied feedback while other sites consume items is exactly the
-/// staleness that makes protocols over-communicate. The one-thread-per-
-/// site runtime gets this ordering from the OS for free (a polled idle
-/// site is a blocked thread that wakes and replies immediately); the
-/// pool has to schedule it deliberately. Per-site FIFO is untouched --
+/// staleness that makes protocols over-communicate. With one worker per
+/// site the OS provides this ordering for free (a polled idle site's
+/// worker is parked and wakes to reply immediately); a multiplexed pool
+/// has to schedule it deliberately. Per-site FIFO is untouched --
 /// the lane only decides *which site* is claimed next, never reorders
 /// one site's queue.
 #[derive(Default)]
@@ -359,7 +508,7 @@ impl<S: Site> Pool<S> {
     }
 }
 
-/// Coordinator-thread commands (same shape as the threaded runtime's).
+/// Coordinator-thread commands.
 enum CoordCmd<C: Coordinator> {
     Up(SiteId, C::Up, PendingToken),
     With(Box<dyn FnOnce(&mut C) + Send>),
@@ -367,8 +516,7 @@ enum CoordCmd<C: Coordinator> {
 }
 
 /// A cluster multiplexing many logical sites onto a fixed work-stealing
-/// worker pool plus one coordinator thread. Public surface mirrors
-/// [`crate::threaded::ThreadedCluster`].
+/// worker pool plus one coordinator thread.
 pub struct ShardedCluster<S, C>
 where
     S: Site + Send + 'static,
@@ -539,9 +687,8 @@ where
     /// site-at-a-time schedule: consecutive same-site runs go to
     /// [`Site::on_items`] one quiescent step at a time, with the feeder
     /// settling the triggered cascade between steps — answers *and*
-    /// metered words are bit-identical to the deterministic runner (see
-    /// [`crate::threaded::ThreadedCluster::feed_batch`], which this
-    /// mirrors exactly).
+    /// metered words are bit-identical to the deterministic runner's
+    /// [`crate::Cluster::feed_batch`].
     pub fn feed_batch(&self, batch: &[(SiteId, S::Item)]) -> Result<(), SimError> {
         let mut i = 0;
         while i < batch.len() {
@@ -584,8 +731,9 @@ where
     /// Enqueue a whole same-site run for free-running consumption (the
     /// parallel throughput path; transcript not pinned). Returns a
     /// [`RunTicket`] resolving when the run has been fully consumed —
-    /// keep a small window of unresolved tickets per site, exactly as
-    /// with [`crate::threaded::ThreadedCluster::ingest_run`].
+    /// keep a small window of unresolved tickets per site: unbounded run
+    /// queueing lets a site race ahead of coordinator feedback and flood
+    /// stale-threshold deltas (the backend's AIMD window does this).
     pub fn ingest_run(&self, site: SiteId, items: Vec<S::Item>) -> Result<RunTicket, SimError> {
         let idx = self.check_site(site)?;
         let (dtx, drx) = unbounded();
@@ -814,8 +962,8 @@ where
 /// would hold every other ready site's coordinator feedback (threshold
 /// updates, poll replies) hostage behind it, and feedback-starved sites
 /// over-communicate — the fairness quantum keeps service round-robin at
-/// run granularity, which is exactly the interleaving the one-thread-
-/// per-site runtime gets from the OS scheduler for free.
+/// run granularity, which is exactly the interleaving a pool with one
+/// worker per site gets from the OS scheduler for free.
 const LIGHT_QUANTUM: usize = 256;
 
 /// Serve one site-run: pop the site's queue in FIFO order up to the
@@ -1067,8 +1215,8 @@ fn handle_cmd<S, C>(
 }
 
 /// Consume one free-running run to completion, applying coordinator
-/// feedback that has already arrived between `on_items` steps (exactly
-/// as the threaded runtime does mid-`Run`): Downs from the front of the
+/// feedback that has already arrived between `on_items` steps: Downs
+/// from the front of the
 /// site's queue are processed immediately, other commands are deferred
 /// in order and put back at the front afterwards.
 fn run_step<S, C>(
@@ -1134,9 +1282,9 @@ fn run_step<S, C>(
         }
     }
     if !deferred.is_empty() {
-        // Replay deferred commands ahead of anything enqueued since; the
-        // transient overshoot past `queue_cap` mirrors the threaded
-        // runtime's deferred buffer living outside its bounded channel.
+        // Replay deferred commands ahead of anything enqueued since. The
+        // overshoot past `queue_cap` is transient and bounded by what
+        // this run step itself popped.
         let mut q = pool.lock_queue(idx);
         while let Some(cmd) = deferred.pop_back() {
             q.cmds.push_front(cmd);
@@ -1548,6 +1696,48 @@ mod tests {
             .wait()
             .unwrap();
         cluster.shutdown().unwrap();
+    }
+
+    #[test]
+    fn ingest_run_reaches_the_same_totals() {
+        // One worker per site: both runs are consumed concurrently.
+        let sites = (0..2).map(|_| LogSite::default()).collect();
+        let cluster = ShardedCluster::spawn_with(sites, SumCoord::default(), cfg(2)).unwrap();
+        let t0 = cluster.ingest_run(SiteId(0), (1..=100).collect()).unwrap();
+        let t1 = cluster
+            .ingest_run(SiteId(1), (101..=200).collect())
+            .unwrap();
+        t0.wait().unwrap();
+        t1.wait().unwrap();
+        cluster.settle();
+        let (coord, _, meter) = cluster.shutdown().unwrap();
+        assert_eq!(coord.sum, (1..=200u64).sum::<u64>());
+        assert_eq!(meter.kind("sh/inc").messages, 200);
+    }
+
+    #[test]
+    #[should_panic(expected = "quiescence counter underflow")]
+    fn pending_underflow_panics_instead_of_wrapping() {
+        let p = Pending::default();
+        p.dec();
+    }
+
+    #[test]
+    fn pending_settles_across_threads() {
+        let pending = Arc::new(Pending::default());
+        let tokens: Vec<PendingToken> = (0..64).map(|_| PendingToken::new(&pending)).collect();
+        let waiter = {
+            let pending = Arc::clone(&pending);
+            std::thread::spawn(move || pending.wait_idle())
+        };
+        let dropper = std::thread::spawn(move || {
+            for t in tokens {
+                drop(t);
+            }
+        });
+        dropper.join().unwrap();
+        waiter.join().unwrap();
+        assert_eq!(pending.count(), 0);
     }
 
     #[test]

@@ -266,7 +266,7 @@ fn totals(report: &ScenarioReport) -> (u64, u64) {
 /// Assert a parallel-backend outcome matches the deterministic
 /// reference: identical answers and identical metered cost. On mismatch,
 /// panic with the per-kind delta table and the first diverging traced
-/// hop window (`context` tags the variant, e.g. `wire=true`).
+/// hop window (`context` tags the variant, e.g. `workers=Some(3)`).
 pub fn assert_outcomes_match(
     scenario: &Scenario,
     context: &str,
@@ -320,7 +320,7 @@ pub fn assert_outcomes_match(
 /// Assert metered totals match the golden fixture. The fixture pins
 /// totals only, so the table shows the actual per-kind breakdown with a
 /// totals delta footer. `label` names the side under test
-/// (e.g. `threaded`, `meter-mode`).
+/// (e.g. `sharded`, `meter-mode`).
 pub fn assert_matches_golden(
     scenario: &Scenario,
     context: &str,
@@ -404,7 +404,11 @@ mod tests {
             9,
             ProtocolSpec::Counter,
         );
-        let report = trace_diff(&s, BackendKind::Deterministic, BackendKind::Threaded);
+        let report = trace_diff(
+            &s,
+            BackendKind::Deterministic,
+            BackendKind::Sharded { workers: Some(3) },
+        );
         assert!(
             report.contains("hop streams are identical"),
             "equivalent backends must produce agreeing hop streams:\n{report}"
@@ -423,8 +427,9 @@ mod tests {
             4,
             ProtocolSpec::Counter,
         );
-        let thr = crate::threaded::run_scenario_threaded(&s).unwrap();
+        let per_site = BackendKind::Sharded { workers: Some(2) };
+        let thr = crate::threaded::run_scenario_on_backend(&s, per_site).unwrap();
         let det = crate::threaded::run_scenario_reference(&s).unwrap();
-        assert_outcomes_match(&s, "", BackendKind::Threaded, &thr, &det);
+        assert_outcomes_match(&s, "", per_site, &thr, &det);
     }
 }

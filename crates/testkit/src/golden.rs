@@ -1,9 +1,8 @@
 //! Parser for the golden communication-cost fixture
 //! (`tests/golden_matrix_costs.txt`) — one place, so every suite that
 //! locks against the fixture (`golden_costs.rs`,
-//! `threaded_equivalence.rs`, `sharded_equivalence.rs`) reads the same
-//! format and a format change is absorbed here instead of in three
-//! copies.
+//! `sharded_equivalence.rs`, `fault_axes.rs`) reads the same format and
+//! a format change is absorbed here instead of in every copy.
 //!
 //! Each line is `SCENARIO check WORDS MESSAGES meter WORDS MESSAGES`:
 //! the costs of the scenario in differential (`check`) mode and in

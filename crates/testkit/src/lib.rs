@@ -47,6 +47,7 @@ pub mod report;
 pub mod runner;
 pub mod scenario;
 pub mod threaded;
+pub mod wired;
 
 pub use diff::{
     assert_matches_golden, assert_outcomes_match, cost_delta_table, trace_artifact_dir, trace_diff,
@@ -62,9 +63,10 @@ pub use runner::{
 };
 pub use scenario::{AssignmentSpec, GeneratorSpec, ProtocolSpec, Scenario, Tuning};
 pub use threaded::{
-    measure_on_backend, measure_threaded, run_scenario_on_backend, run_scenario_reference,
-    run_scenario_threaded, run_scenario_traced, ThreadedIngest, ThreadedOutcome,
+    measure_on_backend, run_scenario_on_backend, run_scenario_reference, run_scenario_traced,
+    run_scenario_wired, ThreadedIngest, ThreadedOutcome,
 };
+pub use wired::Wired;
 
 // The facade types scenario drivers hand out, re-exported so harness
 // consumers don't need a direct dtrack-sim dependency.

@@ -17,6 +17,7 @@
 
 use crate::bound::BudgetShape;
 use crate::scenario::{ProtocolSpec, Scenario};
+use crate::wired::Wired;
 use dtrack_baseline::cgmr::CgmrProtocol;
 use dtrack_baseline::naive::{ForwardAllProtocol, PollingProtocol};
 use dtrack_baseline::{CgmrConfig, PollingConfig};
@@ -36,8 +37,9 @@ use std::time::Duration;
 pub const DEFAULT_SETTLE_DEADLINE: Duration = Duration::from_secs(30);
 
 /// Build a ready-to-feed [`Tracker`] for a scenario, with the given
-/// warm-up target baked into the protocol config.
-pub type BuildFn = fn(&Scenario, u64, BackendKind) -> Result<Tracker, String>;
+/// warm-up target baked into the protocol config; `wired` carries every
+/// hop through the wire codec ([`crate::wired::Wired`]).
+pub type BuildFn = fn(&Scenario, u64, BackendKind, bool) -> Result<Tracker, String>;
 
 /// Check the ε-guarantee against the oracle at one checkpoint; returns
 /// the number of individual comparisons performed.
@@ -121,9 +123,21 @@ pub fn build_tracker(
     policy: WarmupPolicy,
     backend: BackendKind,
 ) -> Result<(Tracker, u64), String> {
+    build_tracker_with(scenario, policy, backend, false)
+}
+
+/// [`build_tracker`] with, when `wired` is set, the protocol wrapped in
+/// [`crate::wired::Wired`] so every up and every routed down crosses the
+/// wire codec.
+pub(crate) fn build_tracker_with(
+    scenario: &Scenario,
+    policy: WarmupPolicy,
+    backend: BackendKind,
+    wired: bool,
+) -> Result<(Tracker, u64), String> {
     let profile = profile(scenario.protocol);
     let warmup = resolve_warmup(profile, scenario, policy)?;
-    let tracker = (profile.build)(scenario, warmup, backend)?;
+    let tracker = (profile.build)(scenario, warmup, backend, wired)?;
     Ok((tracker, warmup))
 }
 
@@ -232,6 +246,7 @@ fn scenario_phi(scenario: &Scenario) -> f64 {
 fn finish_build<P: dtrack_sim::Protocol>(
     scenario: &Scenario,
     backend: BackendKind,
+    wired: bool,
     protocol: P,
 ) -> Result<Tracker, String> {
     let mut builder = Tracker::builder()
@@ -250,7 +265,12 @@ fn finish_build<P: dtrack_sim::Protocol>(
         // the parallel backends (the deterministic one has no queues).
         builder = builder.site_queue_cap(cap as usize);
     }
-    builder.protocol(protocol).build().map_err(err_str)
+    let built = if wired {
+        builder.protocol(Wired::new(protocol)).build()
+    } else {
+        builder.protocol(protocol).build()
+    };
+    built.map_err(err_str)
 }
 
 fn hh_config(scenario: &Scenario, warmup: u64) -> Result<HhConfig, String> {
@@ -299,30 +319,58 @@ fn allq_default_warmup(scenario: &Scenario) -> Result<u64, String> {
         .warmup_target)
 }
 
-fn build_counter(s: &Scenario, _warmup: u64, backend: BackendKind) -> Result<Tracker, String> {
+fn build_counter(
+    s: &Scenario,
+    _warmup: u64,
+    backend: BackendKind,
+    wired: bool,
+) -> Result<Tracker, String> {
     finish_build(
         s,
         backend,
+        wired,
         CounterProtocol::new(s.epsilon).map_err(err_str)?,
     )
 }
 
-fn build_hh_exact(s: &Scenario, warmup: u64, backend: BackendKind) -> Result<Tracker, String> {
-    finish_build(s, backend, HhExactProtocol::new(hh_config(s, warmup)?))
+fn build_hh_exact(
+    s: &Scenario,
+    warmup: u64,
+    backend: BackendKind,
+    wired: bool,
+) -> Result<Tracker, String> {
+    finish_build(
+        s,
+        backend,
+        wired,
+        HhExactProtocol::new(hh_config(s, warmup)?),
+    )
 }
 
-fn build_hh_sketched(s: &Scenario, warmup: u64, backend: BackendKind) -> Result<Tracker, String> {
-    finish_build(s, backend, HhSketchedProtocol::new(hh_config(s, warmup)?))
+fn build_hh_sketched(
+    s: &Scenario,
+    warmup: u64,
+    backend: BackendKind,
+    wired: bool,
+) -> Result<Tracker, String> {
+    finish_build(
+        s,
+        backend,
+        wired,
+        HhSketchedProtocol::new(hh_config(s, warmup)?),
+    )
 }
 
 fn build_quantile_exact(
     s: &Scenario,
     warmup: u64,
     backend: BackendKind,
+    wired: bool,
 ) -> Result<Tracker, String> {
     finish_build(
         s,
         backend,
+        wired,
         QuantileExactProtocol::new(quantile_config(s, warmup)?),
     )
 }
@@ -331,30 +379,57 @@ fn build_quantile_sketched(
     s: &Scenario,
     warmup: u64,
     backend: BackendKind,
+    wired: bool,
 ) -> Result<Tracker, String> {
     finish_build(
         s,
         backend,
+        wired,
         QuantileSketchedProtocol::new(quantile_config(s, warmup)?),
     )
 }
 
-fn build_allq(s: &Scenario, warmup: u64, backend: BackendKind) -> Result<Tracker, String> {
-    finish_build(s, backend, AllQExactProtocol::new(allq_config(s, warmup)?))
+fn build_allq(
+    s: &Scenario,
+    warmup: u64,
+    backend: BackendKind,
+    wired: bool,
+) -> Result<Tracker, String> {
+    finish_build(
+        s,
+        backend,
+        wired,
+        AllQExactProtocol::new(allq_config(s, warmup)?),
+    )
 }
 
-fn build_cgmr(s: &Scenario, _warmup: u64, backend: BackendKind) -> Result<Tracker, String> {
+fn build_cgmr(
+    s: &Scenario,
+    _warmup: u64,
+    backend: BackendKind,
+    wired: bool,
+) -> Result<Tracker, String> {
     let config = CgmrConfig::new(s.k, s.epsilon)?;
-    finish_build(s, backend, CgmrProtocol::new(config))
+    finish_build(s, backend, wired, CgmrProtocol::new(config))
 }
 
-fn build_polling(s: &Scenario, _warmup: u64, backend: BackendKind) -> Result<Tracker, String> {
+fn build_polling(
+    s: &Scenario,
+    _warmup: u64,
+    backend: BackendKind,
+    wired: bool,
+) -> Result<Tracker, String> {
     let config = PollingConfig::new(s.k, s.epsilon)?;
-    finish_build(s, backend, PollingProtocol::new(config))
+    finish_build(s, backend, wired, PollingProtocol::new(config))
 }
 
-fn build_forward_all(s: &Scenario, _warmup: u64, backend: BackendKind) -> Result<Tracker, String> {
-    finish_build(s, backend, ForwardAllProtocol::new())
+fn build_forward_all(
+    s: &Scenario,
+    _warmup: u64,
+    backend: BackendKind,
+    wired: bool,
+) -> Result<Tracker, String> {
+    finish_build(s, backend, wired, ForwardAllProtocol::new())
 }
 
 // ---------------------------------------------------------------------
@@ -632,7 +707,10 @@ mod tests {
             1,
             ProtocolSpec::Counter,
         );
-        for backend in [BackendKind::Deterministic, BackendKind::Threaded] {
+        for backend in [
+            BackendKind::Deterministic,
+            BackendKind::Sharded { workers: Some(3) },
+        ] {
             let (tracker, warmup) = build_tracker(&s, WarmupPolicy::Differential, backend).unwrap();
             assert_eq!(warmup, 0);
             assert_eq!(tracker.protocol_label(), "counter");

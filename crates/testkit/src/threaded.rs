@@ -1,9 +1,10 @@
-//! Drive a [`Scenario`] through the threaded runtime — via the same
+//! Drive a [`Scenario`] through the parallel runtime — via the same
 //! [`Tracker`] facade as [`crate::runner`], so there is no per-protocol
 //! code here at all.
 //!
-//! Two generic entry points serve every parallel backend (threaded and
-//! sharded — anything behind a [`BackendKind`]):
+//! Two generic entry points serve every backend (anything behind a
+//! [`BackendKind`]; the sharded pool at `workers: Some(k)` is the
+//! one-thread-per-site runtime):
 //!
 //! * [`run_scenario_on_backend`] — site-at-a-time schedule through the
 //!   backend's `feed_batch`: the transcript (final answers *and* metered
@@ -17,10 +18,10 @@
 //!   metered words are *not* transcript-pinned here because arrivals
 //!   interleave with in-flight communication.
 //!
-//! The named wrappers [`run_scenario_threaded`] (threaded backend),
-//! [`run_scenario_reference`] (the deterministic twin: same
+//! [`run_scenario_reference`] pins the deterministic twin (same
 //! construction, same chunked schedule, same answer extraction), and
-//! [`measure_threaded`] pin the common cases.
+//! [`run_scenario_wired`] runs that twin with every hop carried over the
+//! wire codec ([`crate::wired::Wired`]).
 //!
 //! Answers are typed [`Answer`]s whose `Display` reproduces the legacy
 //! canonical strings (sorted where the underlying query has no inherent
@@ -35,18 +36,18 @@ use crate::scenario::Scenario;
 use dtrack_sim::{Answer, BackendKind, SiteId, TraceConfig, TraceEvent, Tracker};
 use std::time::Instant;
 
-/// How [`measure_threaded`] delivers items to the threaded backend.
+/// How [`measure_on_backend`] delivers items to a parallel backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ThreadedIngest {
     /// One [`Tracker::feed`] call per item — the per-hop baseline.
     PerItem,
-    /// Per-site runs through [`Tracker::ingest`], keeping all site
-    /// threads busy with `Site::on_items` fast-path consumption (the
+    /// Per-site runs through [`Tracker::ingest`], keeping all pool
+    /// workers busy with `Site::on_items` fast-path consumption (the
     /// backend's AIMD flow controller paces run lengths per site).
     Batched,
 }
 
-/// Outcome of one threaded (or reference) run: the usual cost report plus
+/// Outcome of one parallel (or reference) run: the usual cost report plus
 /// the protocol's canonical final answers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ThreadedOutcome {
@@ -70,22 +71,22 @@ pub struct ThreadedOutcome {
 /// enough to amortize the channel hop, short enough that (with the
 /// backend's one-run window) a site never runs far ahead of coordinator
 /// feedback. Public so the bench harness's facade-vs-direct cells use
-/// the same run length as the headline threaded cells.
+/// the same run length as the headline parallel cells.
 pub const FREE_RUN: usize = 128;
 
 /// Target for the *total* items in flight across all sites during
 /// free-running batched ingest. With a one-run window per site, k sites
 /// at [`FREE_RUN`] items each would put `k·128` items in flight — at
 /// k = 256 that is 16% of a 200k stream racing ahead of coordinator
-/// feedback, the stale-threshold flood the threaded runtime's run
-/// window exists to prevent. [`free_run_len`] shortens per-site runs as
+/// feedback, the stale-threshold flood the backend's run window exists
+/// to prevent. [`free_run_len`] shortens per-site runs as
 /// k grows so the aggregate stays near this target.
 pub const FREE_RUN_INFLIGHT: usize = 4096;
 
 /// Per-site run length for free-running batched ingest at k sites:
 /// [`FREE_RUN`] while the aggregate window fits [`FREE_RUN_INFLIGHT`],
 /// shrinking (never below 16) as sites multiply. At the k = 4 of the
-/// headline threaded cells this is exactly [`FREE_RUN`].
+/// headline parallel cells this is exactly [`FREE_RUN`].
 pub fn free_run_len(k: u32) -> usize {
     (FREE_RUN_INFLIGHT / (k.max(1) as usize)).clamp(16, FREE_RUN)
 }
@@ -106,7 +107,7 @@ pub fn run_scenario_on_backend(
     scenario: &Scenario,
     backend: BackendKind,
 ) -> Result<ThreadedOutcome, ScenarioFailure> {
-    dispatch(scenario, Exec::SiteAtATime, backend, None)
+    dispatch(scenario, Exec::SiteAtATime, backend, false, None)
 }
 
 /// [`run_scenario_on_backend`] with tracing enabled for the whole run:
@@ -119,7 +120,7 @@ pub fn run_scenario_traced(
     backend: BackendKind,
 ) -> Result<ThreadedOutcome, ScenarioFailure> {
     let config = TraceConfig::on().with_ring_capacity(1 << 20);
-    dispatch(scenario, Exec::SiteAtATime, backend, Some(config))
+    dispatch(scenario, Exec::SiteAtATime, backend, false, Some(config))
 }
 
 /// Feed the scenario's stream through a parallel backend free-running
@@ -130,33 +131,35 @@ pub fn measure_on_backend(
     ingest: ThreadedIngest,
     backend: BackendKind,
 ) -> Result<ThreadedOutcome, ScenarioFailure> {
-    dispatch(scenario, Exec::Free(ingest), backend, None)
+    dispatch(scenario, Exec::Free(ingest), backend, false, None)
 }
 
-/// [`run_scenario_on_backend`] on the threaded backend.
-pub fn run_scenario_threaded(scenario: &Scenario) -> Result<ThreadedOutcome, ScenarioFailure> {
-    run_scenario_on_backend(scenario, BackendKind::Threaded)
-}
-
-/// The deterministic twin of [`run_scenario_threaded`]: same
-/// construction, same chunked schedule, same answer extraction, driven
-/// through the deterministic backend.
+/// The deterministic twin of the parallel runs: same construction, same
+/// chunked schedule, same answer extraction, driven through the
+/// deterministic backend.
 pub fn run_scenario_reference(scenario: &Scenario) -> Result<ThreadedOutcome, ScenarioFailure> {
     run_scenario_on_backend(scenario, BackendKind::Deterministic)
 }
 
-/// [`measure_on_backend`] on the threaded backend.
-pub fn measure_threaded(
-    scenario: &Scenario,
-    ingest: ThreadedIngest,
-) -> Result<ThreadedOutcome, ScenarioFailure> {
-    measure_on_backend(scenario, ingest, BackendKind::Threaded)
+/// [`run_scenario_reference`] with the protocol wrapped in
+/// [`crate::wired::Wired`]: every up and every routed down is encoded to
+/// a frame and decoded back, so the outcome must match the plain run
+/// (and the golden fixture) bit-for-bit.
+pub fn run_scenario_wired(scenario: &Scenario) -> Result<ThreadedOutcome, ScenarioFailure> {
+    dispatch(
+        scenario,
+        Exec::SiteAtATime,
+        BackendKind::Deterministic,
+        true,
+        None,
+    )
 }
 
 fn dispatch(
     scenario: &Scenario,
     exec: Exec,
     backend: BackendKind,
+    wired: bool,
     trace: Option<TraceConfig>,
 ) -> Result<ThreadedOutcome, ScenarioFailure> {
     let fail = |detail: String| ScenarioFailure {
@@ -169,7 +172,8 @@ fn dispatch(
     // Throughput/equivalence runs keep the protocol-default warm-up so
     // cost numbers reflect the paper's configuration.
     let (mut tracker, warmup): (Tracker, u64) =
-        registry::build_tracker(scenario, WarmupPolicy::ProtocolDefault, backend).map_err(&fail)?;
+        registry::build_tracker_with(scenario, WarmupPolicy::ProtocolDefault, backend, wired)
+            .map_err(&fail)?;
     if let Some(config) = trace {
         tracker.set_trace(config);
     }
@@ -227,7 +231,7 @@ fn dispatch(
                 }
             }
             Exec::Free(ThreadedIngest::Batched) => {
-                // Per chunk, hand every site its run at once so all k
+                // Per chunk, hand every site its run at once so all
                 // workers chew in parallel; the backend's AIMD window
                 // (seeded at this same k-aware run length) bounds total
                 // in-flight items, keeping feedback staleness (and the
@@ -261,8 +265,8 @@ fn dispatch(
     } else {
         Vec::new()
     };
-    // finish() both merges the final meter and surfaces worker death —
-    // a site thread that died after its queue drained must fail the run,
+    // finish() both merges the final meter and surfaces site death — a
+    // site that died after its queue drained must fail the run,
     // not return partial answers as a success.
     let meter = tracker.finish().map_err(|e| fail(e.to_string()))?;
     Ok(ThreadedOutcome {
@@ -310,10 +314,17 @@ mod tests {
         )
     }
 
+    /// One pool worker per site: the one-thread-per-site configuration.
+    fn per_site(s: &Scenario) -> BackendKind {
+        BackendKind::Sharded {
+            workers: Some(s.k as usize),
+        }
+    }
+
     #[test]
     fn threaded_matches_reference_for_hh() {
         let s = base(ProtocolSpec::HhExact);
-        let thr = run_scenario_threaded(&s).unwrap();
+        let thr = run_scenario_on_backend(&s, per_site(&s)).unwrap();
         let det = run_scenario_reference(&s).unwrap();
         assert_eq!(thr.answers, det.answers);
         assert_eq!(thr.report.words, det.report.words);
@@ -351,7 +362,7 @@ mod tests {
     #[test]
     fn reference_words_match_measure_cost() {
         // The reference path must be the same transcript `measure_cost`
-        // produces, or comparing threaded runs against the golden meter
+        // produces, or comparing parallel runs against the golden meter
         // fixture would be meaningless.
         let s = base(ProtocolSpec::QuantileExact { phi: 0.5 });
         let reference = run_scenario_reference(&s).unwrap();
@@ -364,7 +375,7 @@ mod tests {
     fn free_running_ingest_completes_and_answers() {
         let s = base(ProtocolSpec::Counter);
         for ingest in [ThreadedIngest::PerItem, ThreadedIngest::Batched] {
-            let out = measure_threaded(&s, ingest).unwrap();
+            let out = measure_on_backend(&s, ingest, per_site(&s)).unwrap();
             assert_eq!(out.answers.len(), 1);
             assert!(out.report.words > 0, "{ingest:?} metered nothing");
         }
@@ -376,7 +387,7 @@ mod tests {
         // report the 1.5x drift-headroom budget and stay inside it.
         for protocol in [ProtocolSpec::Counter, ProtocolSpec::HhExact] {
             let s = base(protocol);
-            let out = measure_threaded(&s, ThreadedIngest::Batched).unwrap();
+            let out = measure_on_backend(&s, ThreadedIngest::Batched, per_site(&s)).unwrap();
             let settled = run_scenario_reference(&s).unwrap();
             assert!(
                 out.report.budget_words > settled.report.budget_words,

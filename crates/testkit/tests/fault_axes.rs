@@ -1,11 +1,11 @@
 //! Hostile-traffic fault axes: the 27 appended matrix rows (flash
 //! crowds, diurnal drift, key churn, site churn, queue-cap pressure,
 //! stalls, site death, and the combined-pressure band that stacks two
-//! faults per row) run in equivalence mode on all three backends.
+//! faults per row) run in equivalence mode on both backends.
 //!
 //! Every row must produce the *identical* final answers and the
-//! *identical* metered words/messages on the Deterministic, Threaded,
-//! and Sharded backends, matching the golden fixture bit-for-bit —
+//! *identical* metered words/messages on the Deterministic and Sharded
+//! backends, matching the golden fixture bit-for-bit —
 //! faults included. A kill is an administrative partition injected at a
 //! quiescent stream position and rerouted by the static
 //! `FaultPlan::route` map, a stall is pure timing, and a queue cap is a
@@ -67,17 +67,14 @@ fn matrix_filter_passes_the_extension_through_when_unset() {
 }
 
 #[test]
-fn hostile_rows_are_equivalent_on_all_three_backends() {
+fn hostile_rows_are_equivalent_on_both_backends() {
     let start = Instant::now();
     let golden = golden::meter_costs(GOLDEN);
     let rows = apply_matrix_filter(hostile_rows());
     assert!(!rows.is_empty(), "matrix filter matched nothing");
     // Two workers for k ∈ {4, 5}: the sharded pool really multiplexes,
     // so kill/stall handling is exercised across site-run migration.
-    let backends = [
-        BackendKind::Threaded,
-        BackendKind::Sharded { workers: Some(2) },
-    ];
+    let backend = BackendKind::Sharded { workers: Some(2) };
     for scenario in &rows {
         let name = scenario.to_string();
         let reference = run_scenario_reference(scenario).unwrap_or_else(|f| panic!("{f}"));
@@ -89,19 +86,16 @@ fn hostile_rows_are_equivalent_on_all_three_backends() {
             (golden_words, golden_messages),
             "[{name}] deterministic cost drifted from the golden fixture"
         );
-        for backend in backends {
-            let outcome =
-                run_scenario_on_backend(scenario, backend).unwrap_or_else(|f| panic!("{f}"));
-            assert_eq!(
-                outcome.answers, reference.answers,
-                "[{name}] answers diverge on {backend:?}"
-            );
-            assert_eq!(
-                (outcome.report.words, outcome.report.messages),
-                (reference.report.words, reference.report.messages),
-                "[{name}] metered cost diverges on {backend:?}"
-            );
-        }
+        let outcome = run_scenario_on_backend(scenario, backend).unwrap_or_else(|f| panic!("{f}"));
+        assert_eq!(
+            outcome.answers, reference.answers,
+            "[{name}] answers diverge on {backend:?}"
+        );
+        assert_eq!(
+            (outcome.report.words, outcome.report.messages),
+            (reference.report.words, reference.report.messages),
+            "[{name}] metered cost diverges on {backend:?}"
+        );
     }
     assert_release_budget(start);
 }
@@ -117,22 +111,18 @@ fn hostile_rows_pass_differential_checks_on_parallel_backends() {
     let rows = apply_matrix_filter(hostile_rows());
     assert!(!rows.is_empty(), "matrix filter matched nothing");
     for scenario in &rows {
-        for backend in [
-            BackendKind::Threaded,
-            BackendKind::Sharded { workers: Some(2) },
-        ] {
-            let report = run_scenario_on(scenario, backend).unwrap_or_else(|f| panic!("{f}"));
-            assert!(
-                report.checks > 0,
-                "[{}] ran zero oracle comparisons on {backend:?}",
-                report.scenario
-            );
-            assert!(
-                report.words <= report.budget_words,
-                "[{}] blew the word budget on {backend:?}",
-                report.scenario
-            );
-        }
+        let backend = BackendKind::Sharded { workers: Some(2) };
+        let report = run_scenario_on(scenario, backend).unwrap_or_else(|f| panic!("{f}"));
+        assert!(
+            report.checks > 0,
+            "[{}] ran zero oracle comparisons on {backend:?}",
+            report.scenario
+        );
+        assert!(
+            report.words <= report.budget_words,
+            "[{}] blew the word budget on {backend:?}",
+            report.scenario
+        );
     }
     assert_release_budget(start);
 }
@@ -206,8 +196,11 @@ fn promoted_stall_axis_settles_and_keeps_the_transcript() {
     for scenario in stalled {
         let name = scenario.to_string();
         let reference = run_scenario_reference(scenario).unwrap_or_else(|f| panic!("{f}"));
-        let threaded = run_scenario_on_backend(scenario, BackendKind::Threaded)
-            .unwrap_or_else(|f| panic!("{f}"));
+        let per_site = BackendKind::Sharded {
+            workers: Some(scenario.k as usize),
+        };
+        let threaded =
+            run_scenario_on_backend(scenario, per_site).unwrap_or_else(|f| panic!("{f}"));
         assert_eq!(threaded.answers, reference.answers, "[{name}]");
         assert_eq!(
             (threaded.report.words, threaded.report.messages),
@@ -232,7 +225,9 @@ fn stall_axis_deadline_times_out_instead_of_hanging() {
     let (mut tracker, _warmup) = build_tracker(
         scenario,
         WarmupPolicy::ProtocolDefault,
-        BackendKind::Threaded,
+        BackendKind::Sharded {
+            workers: Some(scenario.k as usize),
+        },
     )
     .unwrap_or_else(|e| panic!("{e}"));
     // A stall two orders of magnitude past the deadline, then one item so

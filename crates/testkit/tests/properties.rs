@@ -1,6 +1,6 @@
 //! Property-based cross-backend equivalence: for arbitrary seeds and
-//! stream shapes — not just the curated matrix rows — the threaded and
-//! sharded runtimes must produce the identical final answers and the
+//! stream shapes — not just the curated matrix rows — the sharded
+//! runtime must produce the identical final answers and the
 //! identical metered cost as the deterministic reference. This is the
 //! randomized companion to the equivalence suites: the matrix pins 77
 //! named rows forever, while this test walks fresh seeds every run
@@ -63,26 +63,22 @@ proptest! {
         let name = scenario.to_string();
         let reference = run_scenario_reference(&scenario)
             .map_err(|f| TestCaseError::fail(format!("{f}")))?;
-        for backend in [
-            BackendKind::Threaded,
-            BackendKind::Sharded { workers: Some(2) },
-        ] {
-            let outcome = run_scenario_on_backend(&scenario, backend)
-                .map_err(|f| TestCaseError::fail(format!("{f}")))?;
-            prop_assert_eq!(
-                &outcome.answers,
-                &reference.answers,
-                "[{}] answers diverge on {:?}",
-                name,
-                backend
-            );
-            prop_assert_eq!(
-                (outcome.report.words, outcome.report.messages),
-                (reference.report.words, reference.report.messages),
-                "[{}] meter diverges on {:?}",
-                name,
-                backend
-            );
-        }
+        let backend = BackendKind::Sharded { workers: Some(2) };
+        let outcome = run_scenario_on_backend(&scenario, backend)
+            .map_err(|f| TestCaseError::fail(format!("{f}")))?;
+        prop_assert_eq!(
+            &outcome.answers,
+            &reference.answers,
+            "[{}] answers diverge on {:?}",
+            name,
+            backend
+        );
+        prop_assert_eq!(
+            (outcome.report.words, outcome.report.messages),
+            (reference.report.words, reference.report.messages),
+            "[{}] meter diverges on {:?}",
+            name,
+            backend
+        );
     }
 }

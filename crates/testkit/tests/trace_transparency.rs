@@ -56,7 +56,7 @@ fn tracing_is_transparent_on_the_full_default_matrix() {
     }
 }
 
-/// The same transparency contract on every parallel backend, for a
+/// The same transparency contract on the parallel backend, for a
 /// stride subset of the matrix (full coverage lives in the equivalence
 /// suites; this pins that *tracing* perturbs none of them).
 #[test]
@@ -65,31 +65,23 @@ fn tracing_is_transparent_on_parallel_backends() {
     assert!(scenarios.len() >= 6, "stride subset too small");
     for scenario in &scenarios {
         let name = scenario.to_string();
-        for backend in [
-            BackendKind::Threaded,
-            BackendKind::Sharded { workers: Some(2) },
-            BackendKind::Async {
-                workers: Some(2),
-                wire: true,
-            },
-        ] {
-            let off = dtrack_testkit::run_scenario_on_backend(scenario, backend)
-                .unwrap_or_else(|f| panic!("{f}"));
-            let on = run_scenario_traced(scenario, backend).unwrap_or_else(|f| panic!("{f}"));
-            assert!(
-                !on.trace.is_empty(),
-                "[{name}] {backend}: traced run recorded nothing"
-            );
-            assert_eq!(
-                on.answers, off.answers,
-                "[{name}] {backend}: tracing changed the answers"
-            );
-            assert_eq!(
-                (on.report.words, on.report.messages),
-                (off.report.words, off.report.messages),
-                "[{name}] {backend}: tracing changed the metered cost"
-            );
-        }
+        let backend = BackendKind::Sharded { workers: Some(2) };
+        let off = dtrack_testkit::run_scenario_on_backend(scenario, backend)
+            .unwrap_or_else(|f| panic!("{f}"));
+        let on = run_scenario_traced(scenario, backend).unwrap_or_else(|f| panic!("{f}"));
+        assert!(
+            !on.trace.is_empty(),
+            "[{name}] {backend}: traced run recorded nothing"
+        );
+        assert_eq!(
+            on.answers, off.answers,
+            "[{name}] {backend}: tracing changed the answers"
+        );
+        assert_eq!(
+            (on.report.words, on.report.messages),
+            (off.report.words, off.report.messages),
+            "[{name}] {backend}: tracing changed the metered cost"
+        );
     }
 }
 

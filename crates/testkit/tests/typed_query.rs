@@ -7,8 +7,8 @@
 //! 2. render `Display` strings bit-identical to the legacy canonical
 //!    format (`estimate=…`, `m=…`, `hh(phi=…)=…`, `quantile=…`,
 //!    `q(…)=…`, `total=…`), and
-//! 3. be identical across the deterministic and threaded backends on the
-//!    site-at-a-time schedule.
+//! 3. be identical across the deterministic backend and the sharded pool
+//!    with one worker per site, on the site-at-a-time schedule.
 
 use dtrack_core::ExactOracle;
 use dtrack_testkit::registry::{self, WarmupPolicy};
@@ -50,9 +50,11 @@ fn check_scenario(scenario: &Scenario) {
         BackendKind::Deterministic,
     )
     .unwrap_or_else(|e| panic!("[{name}] deterministic build: {e}"));
-    let (mut thr, _) =
-        registry::build_tracker(scenario, WarmupPolicy::Differential, BackendKind::Threaded)
-            .unwrap_or_else(|e| panic!("[{name}] threaded build: {e}"));
+    let per_site = BackendKind::Sharded {
+        workers: Some(scenario.k as usize),
+    };
+    let (mut thr, _) = registry::build_tracker(scenario, WarmupPolicy::Differential, per_site)
+        .unwrap_or_else(|e| panic!("[{name}] sharded build: {e}"));
     let check = registry::profile(scenario.protocol).check;
 
     let mut oracle = ExactOracle::new();
@@ -69,7 +71,7 @@ fn check_scenario(scenario: &Scenario) {
         det.feed_batch(chunk)
             .unwrap_or_else(|e| panic!("[{name}] deterministic feed: {e}"));
         thr.feed_batch(chunk)
-            .unwrap_or_else(|e| panic!("[{name}] threaded feed: {e}"));
+            .unwrap_or_else(|e| panic!("[{name}] sharded feed: {e}"));
         fed = stop;
 
         // (1) ε-agreement with the oracle, via typed queries, on both
@@ -77,7 +79,7 @@ fn check_scenario(scenario: &Scenario) {
         check(&mut det, &oracle, scenario)
             .unwrap_or_else(|e| panic!("[{name}] deterministic check at {fed}: {e}"));
         check(&mut thr, &oracle, scenario)
-            .unwrap_or_else(|e| panic!("[{name}] threaded check at {fed}: {e}"));
+            .unwrap_or_else(|e| panic!("[{name}] sharded check at {fed}: {e}"));
 
         // (2) + (3) canonical answers: identical across backends, and
         // Display equals the legacy canonical string.

@@ -161,11 +161,6 @@ pub enum TraceEventKind {
         /// Backlog depth in items.
         depth: u64,
     },
-    /// A message crossed the wire codec as a framed byte sequence.
-    WireFrame {
-        /// Encoded frame length in bytes.
-        bytes: u64,
-    },
 }
 
 impl TraceEventKind {
@@ -184,7 +179,6 @@ impl TraceEventKind {
             TraceEventKind::SettleBegin => "settle-begin",
             TraceEventKind::SettleEnd { .. } => "settle-end",
             TraceEventKind::QueueDepth { .. } => "queue-depth",
-            TraceEventKind::WireFrame { .. } => "wire-frame",
         }
     }
 }
@@ -539,7 +533,6 @@ fn chrome_record(event: &TraceEvent, out: &mut String) {
         TraceEventKind::SettleBegin => {}
         TraceEventKind::SettleEnd { micros } => args = format!("\"micros\":{micros}"),
         TraceEventKind::QueueDepth { depth } => args = format!("\"depth\":{depth}"),
-        TraceEventKind::WireFrame { bytes } => args = format!("\"bytes\":{bytes}"),
     }
     let mut escaped = String::new();
     json_escape(&name, &mut escaped);
@@ -683,7 +676,7 @@ mod tests {
             kind: "Start",
             fanout: 64,
         });
-        t.record(TraceEventKind::WireFrame { bytes: 40 });
+        t.record(TraceEventKind::QueueDepth { depth: 40 });
         let mut buf = Vec::new();
         export_chrome(&t.snapshot(), &mut buf).unwrap();
         let s = String::from_utf8(buf).unwrap();

@@ -1,10 +1,12 @@
-//! The same protocol state machines on real OS threads: one thread per
-//! site, one for the coordinator, crossbeam channels in between — behind
-//! the exact same `Tracker` facade as the deterministic runtime. The only
-//! difference from `quickstart` is `.backend(BackendKind::Threaded)`.
+//! The same protocol state machines on real OS threads: the sites on a
+//! work-stealing worker pool (one worker per core by default), the
+//! coordinator on a thread of its own, bounded per-site queues in between
+//! — behind the exact same `Tracker` facade as the deterministic runtime.
+//! The only difference from `quickstart` is the `.backend(...)` line;
+//! `workers: Some(k)` would give each of the k sites a thread of its own.
 //!
 //! ```text
-//! cargo run --release --example threaded_runtime
+//! cargo run --release --example sharded_runtime
 //! ```
 
 use dtrack::prelude::*;
@@ -15,10 +17,10 @@ fn main() {
     let epsilon = 0.05;
     let config = HhConfig::new(k, epsilon).expect("valid parameters");
     let mut tracker = Tracker::builder()
-        .backend(BackendKind::Threaded)
+        .backend(BackendKind::Sharded { workers: None })
         .protocol(HhExactProtocol::new(config))
         .build()
-        .expect("spawn threads");
+        .expect("spawn the pool");
 
     let mut gen = Zipf::new(1 << 16, 1.3, 21);
     let n = 200_000u64;

@@ -1,14 +1,33 @@
-//! The deterministic runner and the threaded runtime must produce
+//! The deterministic runner and the parallel runtime must produce
 //! identical answers and identical communication on identical
 //! one-item-at-a-time schedules (feeding then settling serializes the
-//! threaded runtime into the same global order).
+//! parallel runtime into the same global order). The `threaded_` tests
+//! run the work-stealing pool with one worker per site — the
+//! one-thread-per-site configuration; the `sharded_` tests multiplex
+//! many sites onto few workers.
 
 use dtrack::core::hh::{HhConfig, HhCoordinator, HhSite};
 use dtrack::core::quantile::{QuantileCoordinator, QuantileSite};
 use dtrack::prelude::*;
-use dtrack::sim::threaded::ThreadedCluster;
+use dtrack::sim::sharded::{ShardedCluster, ShardedConfig};
 use dtrack::workload::{RoundRobin, Stream, Zipf};
 use dtrack_testkit::{AssignmentSpec, GeneratorSpec, ProtocolSpec, Scenario};
+
+/// Spawn the pool with one worker per site.
+fn spawn_per_site<S, C>(sites: Vec<S>, coordinator: C) -> ShardedCluster<S, C>
+where
+    S: Site + Send + 'static,
+    C: Coordinator<Up = S::Up, Down = S::Down> + Send + 'static,
+    S::Item: Send + Clone,
+    S::Up: Send,
+    S::Down: Send + Sync,
+{
+    let config = ShardedConfig {
+        workers: Some(sites.len()),
+        ..ShardedConfig::default()
+    };
+    ShardedCluster::spawn_with(sites, coordinator, config).unwrap()
+}
 
 #[test]
 fn threaded_matches_deterministic_serialized() {
@@ -28,7 +47,7 @@ fn threaded_matches_deterministic_serialized() {
 
     // Threaded run, serialized by settling after every item.
     let sites: Vec<_> = (0..k).map(|_| HhSite::exact(config)).collect();
-    let threaded = ThreadedCluster::spawn(sites, HhCoordinator::new(config)).unwrap();
+    let threaded = spawn_per_site(sites, HhCoordinator::new(config));
     for &(site, item) in &stream {
         threaded.feed(site, item).unwrap();
         threaded.settle();
@@ -91,7 +110,7 @@ fn threaded_matches_deterministic_across_seeded_workloads() {
         det.feed_stream(stream.iter().copied()).unwrap();
 
         let sites: Vec<_> = (0..k).map(|_| HhSite::exact(config)).collect();
-        let threaded = ThreadedCluster::spawn(sites, HhCoordinator::new(config)).unwrap();
+        let threaded = spawn_per_site(sites, HhCoordinator::new(config));
         for &(site, item) in &stream {
             threaded.feed(site, item).unwrap();
             threaded.settle();
@@ -153,7 +172,7 @@ fn threaded_matches_deterministic_for_quantile() {
     det.feed_stream(stream.iter().copied()).unwrap();
 
     let sites: Vec<_> = (0..k).map(|_| QuantileSite::exact(config)).collect();
-    let threaded = ThreadedCluster::spawn(sites, QuantileCoordinator::new(config)).unwrap();
+    let threaded = spawn_per_site(sites, QuantileCoordinator::new(config));
     for &(site, item) in &stream {
         threaded.feed(site, item).unwrap();
         threaded.settle();
@@ -181,7 +200,7 @@ fn threaded_matches_deterministic_for_counter() {
     det.feed_stream(stream.iter().copied()).unwrap();
 
     let sites: Vec<_> = (0..k).map(|_| CounterSite::new(epsilon).unwrap()).collect();
-    let threaded = ThreadedCluster::spawn(sites, CounterCoordinator::new()).unwrap();
+    let threaded = spawn_per_site(sites, CounterCoordinator::new());
     for &(site, item) in &stream {
         threaded.feed(site, item).unwrap();
         threaded.settle();
@@ -194,11 +213,12 @@ fn threaded_matches_deterministic_for_counter() {
     assert_eq!(det.meter().total_messages(), meter.total_messages());
 }
 
-/// `ThreadedCluster::feed_batch` (site-at-a-time, internally settled per
-/// quiescent run) must reproduce the deterministic `Cluster::feed_batch`
-/// transcript without the caller settling per item — this is the fast
-/// transcript-identical path the testkit equivalence suite drives over
-/// the whole matrix; here it is pinned at the integration level.
+/// `ShardedCluster::feed_batch` with one worker per site (site-at-a-time,
+/// internally settled per quiescent run) must reproduce the deterministic
+/// `Cluster::feed_batch` transcript without the caller settling per item
+/// — this is the fast transcript-identical path the testkit equivalence
+/// suite drives over the whole matrix; here it is pinned at the
+/// integration level.
 #[test]
 fn threaded_feed_batch_matches_deterministic() {
     let k = 4;
@@ -211,7 +231,7 @@ fn threaded_feed_batch_matches_deterministic() {
     det.feed_batch(&stream).unwrap();
 
     let sites: Vec<_> = (0..k).map(|_| HhSite::exact(config)).collect();
-    let threaded = ThreadedCluster::spawn(sites, HhCoordinator::new(config)).unwrap();
+    let threaded = spawn_per_site(sites, HhCoordinator::new(config));
     threaded.feed_batch(&stream).unwrap();
     threaded.settle();
     let (coord, _, meter) = threaded.shutdown().unwrap();
@@ -241,14 +261,14 @@ fn threaded_parallel_ingest_still_correct() {
     let phi = 0.2;
     let config = HhConfig::new(k, epsilon).unwrap();
     let sites: Vec<_> = (0..k).map(|_| HhSite::exact(config)).collect();
-    let threaded = ThreadedCluster::spawn(sites, HhCoordinator::new(config)).unwrap();
+    let threaded = spawn_per_site(sites, HhCoordinator::new(config));
 
     let stream: Vec<(SiteId, u64)> =
         Stream::new(Zipf::new(1 << 14, 1.5, 9), RoundRobin::new(k), 40_000).collect();
     let mut oracle = ExactOracle::new();
     // One-run window per site so no site races unboundedly far ahead of
     // coordinator feedback (see `ingest_run` docs).
-    let mut tickets: Vec<Option<dtrack::sim::threaded::RunTicket>> =
+    let mut tickets: Vec<Option<dtrack::sim::sharded::RunTicket>> =
         (0..k as usize).map(|_| None).collect();
     let mut per_site: Vec<Vec<u64>> = vec![Vec::new(); k as usize];
     for part in stream.chunks(512) {
@@ -282,14 +302,13 @@ fn threaded_parallel_ingest_still_correct() {
     threaded.shutdown().unwrap();
 }
 
-/// The sharded work-stealing pool at the integration level: far more
+/// The work-stealing pool at the integration level: far more
 /// logical sites than workers, driven through the bare cluster with
 /// `feed_batch` — answers and metered cost must match the deterministic
 /// runner bit-for-bit, because site-runs are served whole and in FIFO
 /// order no matter which worker picks them up.
 #[test]
 fn sharded_feed_batch_matches_deterministic_at_high_k() {
-    use dtrack::sim::sharded::{ShardedCluster, ShardedConfig};
     let k = 24;
     let epsilon = 0.1;
     let config = HhConfig::new(k, epsilon).unwrap();
@@ -329,7 +348,7 @@ fn sharded_feed_batch_matches_deterministic_at_high_k() {
 
 /// Free-running parallel ingest on the sharded pool (k ≫ workers): the
 /// ε-guarantee must hold at quiescence with the same 2ε slack as the
-/// threaded concurrent tests — through the `Tracker` facade, which owns
+/// thread-per-site concurrent tests — through the `Tracker` facade, which owns
 /// the one-run-per-site ticket window.
 #[test]
 fn sharded_parallel_ingest_still_correct_at_high_k() {
@@ -382,7 +401,7 @@ fn threaded_concurrent_feeding_still_correct() {
     let phi = 0.2;
     let config = HhConfig::new(k, epsilon).unwrap();
     let sites: Vec<_> = (0..k).map(|_| HhSite::exact(config)).collect();
-    let threaded = ThreadedCluster::spawn(sites, HhCoordinator::new(config)).unwrap();
+    let threaded = spawn_per_site(sites, HhCoordinator::new(config));
 
     let stream: Vec<(SiteId, u64)> =
         Stream::new(Zipf::new(1 << 14, 1.5, 9), RoundRobin::new(k), 40_000).collect();
